@@ -65,15 +65,22 @@ def parse_args(argv):
 
 def setup_seconds(workload: str, seed: int) -> float:
     """Median wall time of a fresh process that imports ``repro`` and
-    generates the workload's inputs."""
+    generates the workload's inputs, each probe divided by the mean host
+    slowdown measured just before and just after it."""
+    from workloads import host_slowdown
+
     command = [sys.executable, str(Path(__file__).resolve()),
                "--workload", workload, "--seed", str(seed), "--setup-probe"]
+    subprocess.run(command, check=True, cwd=ROOT, timeout=120)
     samples = []
-    for probe in range(SETUP_PROBES + 1):
+    before = host_slowdown()
+    for _ in range(SETUP_PROBES):
         start = perf_counter()
         subprocess.run(command, check=True, cwd=ROOT, timeout=120)
-        if probe:
-            samples.append(perf_counter() - start)
+        elapsed = perf_counter() - start
+        after = host_slowdown()
+        samples.append(elapsed / ((before + after) / 2))
+        before = after
     return statistics.median(samples)
 
 
