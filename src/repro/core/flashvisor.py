@@ -22,7 +22,7 @@ translation cost charged to the Flashvisor LWP.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, NoReturn, Optional, Sequence
 
 from ..sim.engine import Environment
 from ..hw.interconnect import MessageQueue
@@ -107,43 +107,63 @@ class Flashvisor:
         (mapped on first use), mirroring how the prototype pre-loads input
         files into the backbone.
         """
-        start_group = self.geometry.word_address_to_group(
-            flash_word_address, self.word_bytes)
-        physical_groups = []
-        for logical in self.geometry.iter_groups_for_bytes(start_group,
-                                                           num_bytes):
-            physical = self.mapping.lookup(logical)
-            if physical is None:
-                physical = self._allocate_physical(logical)
-            physical_groups.append(physical)
-            self.stats.translations += 1
+        start_group, count = self._group_range(flash_word_address, num_bytes)
+        physical_groups = self.mapping.lookup_range(start_group, count)
+        unmapped = [index for index, physical in enumerate(physical_groups)
+                    if physical is None]
+        if unmapped:
+            fresh = self._map_fresh([start_group + index
+                                     for index in unmapped])
+            for index, physical in zip(unmapped, fresh):
+                physical_groups[index] = physical
+            if len(fresh) < len(unmapped):
+                self._out_of_space(unmapped[len(fresh)])
+        self.stats.translations += count
         return physical_groups
 
     def translate_write(self, flash_word_address: int,
                         num_bytes: int) -> List[int]:
         """Allocate fresh physical groups for a write (log-structured)."""
-        start_group = self.geometry.word_address_to_group(
-            flash_word_address, self.word_bytes)
-        physical_groups = []
-        for logical in self.geometry.iter_groups_for_bytes(start_group,
-                                                           num_bytes):
-            stale = self.mapping.lookup(logical)
-            if stale is not None:
-                self.allocator.invalidate_group(stale)
-            physical = self._allocate_physical(logical)
-            physical_groups.append(physical)
-            self.stats.translations += 1
+        start_group, count = self._group_range(flash_word_address, num_bytes)
+        fits = min(count, self.allocator.free_group_count)
+        # The stale copy of each group is retired before its replacement
+        # is allocated, so a write that runs out of space has retired one
+        # group more than it rebound.
+        stale = self.mapping.lookup_range(start_group, min(count, fits + 1))
+        self.allocator.invalidate_groups(
+            [physical for physical in stale if physical is not None])
+        physical_groups = self._map_fresh(
+            range(start_group, start_group + fits))
+        if fits < count:
+            self._out_of_space(fits)
+        self.stats.translations += count
         return physical_groups
 
-    def _allocate_physical(self, logical_group: int) -> int:
-        try:
-            physical = self.allocator.allocate_group()
-        except OutOfSpaceError:
-            self.stats.reclaim_requests += 1
-            raise
-        self.mapping.update(logical_group, physical)
-        self.stats.groups_allocated += 1
-        return physical
+    def _group_range(self, flash_word_address: int, num_bytes: int):
+        """(first logical group, group count) covering a data section."""
+        geometry = self.geometry
+        return (geometry.word_address_to_group(flash_word_address,
+                                                self.word_bytes),
+                geometry.bytes_to_page_groups(num_bytes))
+
+    def _map_fresh(self, logical_groups: Sequence[int]) -> List[int]:
+        """Bind the leading ``logical_groups`` to fresh physical groups.
+
+        Binds as many as there are free groups, in order, and returns the
+        physical groups bound.
+        """
+        allocator = self.allocator
+        physical_groups = allocator.allocate_groups(
+            min(len(logical_groups), allocator.free_group_count))
+        self.mapping.update_range(logical_groups, physical_groups)
+        self.stats.groups_allocated += len(physical_groups)
+        return physical_groups
+
+    def _out_of_space(self, translated: int) -> NoReturn:
+        """Count the ``translated`` groups done, then raise OutOfSpaceError."""
+        self.stats.translations += translated
+        self.stats.reclaim_requests += 1
+        raise OutOfSpaceError("no free block rows; GC required")
 
     # ------------------------------------------------------------------ #
     # Timed request handling                                              #

@@ -11,6 +11,12 @@ that address translation never stalls kernel execution:
 
 All of this runs as a background simulation process that competes with the
 workers only for backbone bandwidth — exactly the paper's design point.
+
+When idle, Storengine polls every ``poll_interval_s`` of simulated time.
+A poll tick at which nothing can have changed is a no-op, so the loop
+sleeps straight to the first tick that can see a change (see
+:meth:`Storengine._idle_sleep`) and wakes at exactly the clock readings,
+and in exactly the event order, of a tick-by-tick loop.
 """
 
 from __future__ import annotations
@@ -61,14 +67,39 @@ class Storengine:
         self.stats = StorengineStats()
         self._stopped = False
         self._last_journal = env.now
+        # The pending idle sleep (or None), the clock reading it started
+        # at (its poll ticks are start + poll, start + 2 * poll, …) and
+        # the tick it ends at.
+        self._sleep = None
+        self._sleep_start = 0.0
+        self._sleep_until = 0.0
         self._process = env.process(self._run())
 
     # ------------------------------------------------------------------ #
     # Lifecycle                                                           #
     # ------------------------------------------------------------------ #
     def stop(self) -> None:
-        """Ask the background loop to exit at its next poll."""
+        """Ask the background loop to exit at its next poll.
+
+        The next poll is the first tick at or after ``now`` of the idle
+        sleep in progress, which may lie before the tick the sleep was
+        aimed at: the sleep is moved back to it.
+        """
         self._stopped = True
+        sleep = self._sleep
+        if sleep is None:
+            return
+        env = self.env
+        poll = self.poll_interval_s
+        tick = self._sleep_start + poll
+        now = env.now
+        while tick < now:
+            tick += poll
+        if tick < self._sleep_until and env.cancel(sleep):
+            moved = env.timeout_at(tick)
+            moved.callbacks, sleep.callbacks = sleep.callbacks, []
+            self._sleep = moved
+            self._sleep_until = tick
 
     @property
     def stopped(self) -> bool:
@@ -90,7 +121,42 @@ class Storengine:
                 yield from self._journal_metadata()
                 did_work = True
             if not did_work:
-                yield self.env.timeout(self.poll_interval_s)
+                yield self._idle_sleep()
+                self._sleep = None
+
+    def _idle_sleep(self):
+        """Timeout to the first poll tick at which a poll can find work.
+
+        Ticks are ``now + poll``, ``now + 2 * poll``, … built by repeated
+        float addition, exactly the clock readings of a loop sleeping one
+        poll interval at a time.  Work appears only through an event, so
+        a tick before the next pending event (``env.peek()``) polls
+        unchanged state; the sleep ends at the earliest of the first tick
+        at or after that event, the tick at which a journal dump falls
+        due, and the last tick at or before the environment's horizon
+        (past it, code outside the environment may add work).  The event
+        order is kept too: a tick-by-tick loop would schedule the wake-up
+        at the tick before it, and no other event is scheduled between
+        the start of the sleep and that tick, so the wake-up sorts the
+        same against every other event at its time.
+        """
+        env = self.env
+        poll = self.poll_interval_s
+        now = env.now
+        tick = now + poll
+        change = env.peek()
+        horizon = env.horizon
+        journal_from = self._last_journal
+        journal_interval = self.journal_interval_s
+        while tick < change and tick - journal_from < journal_interval:
+            following = tick + poll
+            if following > horizon:
+                break
+            tick = following
+        self._sleep_start = now
+        self._sleep_until = tick
+        self._sleep = env.timeout_at(tick)
+        return self._sleep
 
     # ------------------------------------------------------------------ #
     # Write-buffer flushing                                               #

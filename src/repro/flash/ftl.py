@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, Iterable, List, Optional, Set
 
 from .geometry import FlashGeometry
 
@@ -68,6 +68,13 @@ class PageGroupMappingTable:
         """Physical group currently backing ``logical_group`` (or None)."""
         return self._map.get(logical_group)
 
+    def lookup_range(self, start_group: int,
+                     count: int) -> List[Optional[int]]:
+        """:meth:`lookup` of ``count`` groups from ``start_group`` on."""
+        get = self._map.get
+        return [get(logical) for logical in
+                range(start_group, start_group + count)]
+
     def update(self, logical_group: int, physical_group: int) -> Optional[int]:
         """Bind ``logical_group`` to ``physical_group``; returns the old one."""
         if logical_group < 0:
@@ -78,6 +85,18 @@ class PageGroupMappingTable:
         self._map[logical_group] = physical_group
         self._reverse[physical_group] = logical_group
         return old
+
+    def update_range(self, logical_groups: Iterable[int],
+                     physical_groups: Iterable[int]) -> None:
+        """:meth:`update` of each pair, in order (``logical_groups`` >= 0)."""
+        forward = self._map
+        reverse = self._reverse
+        for logical, physical in zip(logical_groups, physical_groups):
+            old = forward.get(logical)
+            if old is not None and reverse.get(old) == logical:
+                del reverse[old]
+            forward[logical] = physical
+            reverse[physical] = logical
 
     def invalidate(self, logical_group: int) -> Optional[int]:
         old = self._map.pop(logical_group, None)
@@ -138,6 +157,35 @@ class BlockAllocator:
             self._active_row = None
         return physical_group
 
+    def allocate_groups(self, count: int) -> List[int]:
+        """:meth:`allocate_group` ``count`` times, a block row at a time.
+
+        All or nothing: raises :class:`OutOfSpaceError`, allocating
+        nothing, if fewer than ``count`` groups are free.
+        """
+        if count > self.free_group_count:
+            raise OutOfSpaceError("no free block rows; GC required")
+        per_row = self.groups_per_row
+        groups: List[int] = []
+        while len(groups) < count:
+            if self._active_row is None:
+                self._open_new_row()
+            row = self.rows[self._active_row]
+            offset = row.next_free_offset
+            take = min(count - len(groups), per_row - offset)
+            first = row.row_id * per_row + offset
+            # One int object per group, shared by the row's valid set and
+            # the returned list (and, through it, the mapping table).
+            fresh = list(range(first, first + take))
+            row.valid_groups.update(fresh)
+            groups += fresh
+            row.next_free_offset = offset + take
+            if row.next_free_offset >= per_row:
+                self.used_rows.append(row.row_id)
+                self._active_row = None
+        self.groups_written += count
+        return groups
+
     def _open_new_row(self) -> None:
         if not self.free_rows:
             raise OutOfSpaceError("no free block rows; GC required")
@@ -152,6 +200,15 @@ class BlockAllocator:
         row_id = physical_group // self.groups_per_row
         if row_id in self.rows:
             self.rows[row_id].valid_groups.discard(physical_group)
+
+    def invalidate_groups(self, physical_groups: Iterable[int]) -> None:
+        """:meth:`invalidate_group` each group."""
+        rows = self.rows
+        per_row = self.groups_per_row
+        for physical in physical_groups:
+            row = rows.get(physical // per_row)
+            if row is not None:
+                row.valid_groups.discard(physical)
 
     def row_of(self, physical_group: int) -> BlockRowState:
         return self.rows[physical_group // self.groups_per_row]

@@ -11,7 +11,7 @@ page-group numbers -> per-channel physical page addresses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 from ..hw.spec import FlashSpec
 
@@ -136,9 +136,3 @@ class FlashGeometry:
                     channel=channel, package=package, die=die, plane=plane,
                     block=block, page=page_in_block))
         return pages
-
-    def iter_groups_for_bytes(self, start_group: int,
-                              num_bytes: int) -> Iterator[int]:
-        """Yield the consecutive logical groups covering ``num_bytes``."""
-        for offset in range(self.bytes_to_page_groups(num_bytes)):
-            yield start_group + offset

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
+from math import inf
 from types import MappingProxyType
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -119,6 +120,9 @@ class PlatformConfig:
     scheduler_policy: Optional[PolicySpec] = None
 
     def __post_init__(self) -> None:
+        if not 0 < self.input_scale < inf:
+            raise ValueError(f"input_scale must be positive and finite, "
+                             f"got {self.input_scale!r}")
         # The paper's four schedulers are checked statically so the common
         # path never touches the registry; the policy_names() fallback is
         # what lets a config name any *additionally* registered scheduler

@@ -17,6 +17,7 @@ simulation until every request has settled, and assembles a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Dict, List, Optional, Tuple
 
 from ..baseline.system import BaselineSystem
@@ -235,10 +236,12 @@ class ServingScenario:
         if self.process not in ARRIVAL_PROCESSES:
             raise ValueError(f"unknown arrival process {self.process!r}; "
                              f"choose from {ARRIVAL_PROCESSES}")
-        if self.process != "trace" and self.offered_rps <= 0:
-            raise ValueError("offered_rps must be positive")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if self.process != "trace" and not 0 < self.offered_rps < inf:
+            raise ValueError(f"offered_rps must be positive and finite, "
+                             f"got {self.offered_rps!r}")
+        if not 0 < self.duration_s < inf:
+            raise ValueError(f"duration_s must be positive and finite, "
+                             f"got {self.duration_s!r}")
         if not self.tenants:
             raise ValueError("at least one tenant is required")
         if self.process == "trace" and not self.trace_events:

@@ -91,6 +91,8 @@ _SEQ_NORMAL = NORMAL << _PRIORITY_SHIFT
 #: a pathological burst from pinning memory.
 _POOL_LIMIT = 512
 
+_INF = float("inf")
+
 
 class Event:
     """A one-shot occurrence in virtual time.
@@ -351,7 +353,7 @@ class Environment:
     # sites guard on that, so an untraced run pays one attribute load
     # per site and nothing else.
     __slots__ = ("_now", "_queue", "_eid", "_active_process",
-                 "_timeout_pool", "_event_pool", "tracer")
+                 "_timeout_pool", "_event_pool", "_horizon", "tracer")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -360,6 +362,7 @@ class Environment:
         self._active_process: Optional[Process] = None
         self._timeout_pool: List[Timeout] = []
         self._event_pool: List[Event] = []
+        self._horizon = _INF
         self.tracer = None
 
     @property
@@ -371,6 +374,20 @@ class Environment:
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
         return self._active_process
+
+    @property
+    def horizon(self) -> float:
+        """``until`` of the current (or latest) bounded run, else ``inf``.
+
+        Set by :meth:`run_events` (and so by ``run(until=...)``), reset
+        to ``inf`` by a run to drain and left alone by :meth:`step`.
+        Code driving the environment from outside adds work only between
+        ``run``/``run_events`` calls (see ARCHITECTURE.md), so up to the
+        horizon every event follows from the events already queued.
+        :class:`~repro.core.storengine.Storengine` reads it so that its
+        idle sleep never passes the last poll tick before the horizon.
+        """
+        return self._horizon
 
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
@@ -413,6 +430,31 @@ class Environment:
                   (self._now + delay, _SEQ_NORMAL | eid, timeout))
         return timeout
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create an event that triggers at absolute time ``when``.
+
+        Unlike ``timeout(when - now)``, the event fires at exactly
+        ``when`` (no float round trip through a delay), so a process that
+        precomputes a tick by repeated addition lands on the same clock
+        reading as one that slept tick by tick.
+        """
+        if when < self._now:
+            raise ValueError(f"time {when!r} is in the past (now "
+                             f"{self._now!r})")
+        try:
+            timeout = self._timeout_pool.pop()
+        except IndexError:
+            timeout = Timeout.__new__(Timeout)
+            timeout.env = self
+            timeout.callbacks = []
+            timeout._ok = True
+            timeout._triggered = True
+        timeout._value = value
+        timeout.delay = when - self._now
+        eid = self._eid = self._eid + 1
+        _heappush(self._queue, (when, _SEQ_NORMAL | eid, timeout))
+        return timeout
+
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a new process starting now."""
         return Process(self, generator)
@@ -439,7 +481,7 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none is pending."""
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else _INF
 
     def cancel(self, event: Event) -> bool:
         """Remove one scheduled ``event`` from the pending queue.
@@ -539,6 +581,7 @@ class Environment:
         # common, hottest call) pays no per-event horizon check.  Keep
         # them line-for-line identical apart from that check.
         if until is None:
+            self._horizon = _INF
             while queue:
                 time, _seq, event = pop(queue)
                 # Unconditional store: the heap pops in non-decreasing
@@ -597,8 +640,10 @@ class Environment:
         this at epoch boundaries so a shard that goes idle before the
         boundary keeps the same clock reading the serial session would
         have (the serial drain stops at the last settlement event), which
-        is what makes the two makespans byte-identical.
+        is what makes the two makespans byte-identical.  Sets
+        :attr:`horizon` to ``until``.
         """
+        self._horizon = until
         queue = self._queue
         timeout_pool = self._timeout_pool
         event_pool = self._event_pool

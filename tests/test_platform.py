@@ -29,6 +29,15 @@ def test_config_rejects_unknown_system():
         PlatformConfig(system="NotASystem")
 
 
+@pytest.mark.parametrize("value", [0, 0.0, -0.5, float("nan"),
+                                   float("inf")])
+def test_config_rejects_non_positive_or_non_finite_input_scale(value):
+    # input_scale=0 used to be accepted and then wedge the simulation
+    # until the stall watchdog fired.
+    with pytest.raises(ValueError, match="input_scale"):
+        PlatformConfig(input_scale=value)
+
+
 def test_config_roundtrip_to_dict_from_dict():
     config = PlatformConfig(system="InterDy", lwp_count=6, instances=4,
                             input_scale=0.25, track_power_series=True,

@@ -51,6 +51,14 @@ def test_scenario_validation():
         scenario(process="trace")    # trace scenarios need events
 
 
+@pytest.mark.parametrize("field", ["offered_rps", "duration_s"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_scenario_rejects_non_finite_and_negative_values(field, value):
+    # NaN used to slip past the "<= 0" check and serve an empty report.
+    with pytest.raises(ValueError, match=field):
+        scenario(**{field: value})
+
+
 def test_scenario_roundtrip_and_label():
     base = scenario(process="mmpp", offered_rps=42.0)
     clone = ServingScenario.from_dict(base.to_dict())

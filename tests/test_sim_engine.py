@@ -286,3 +286,35 @@ def test_waiting_on_already_processed_event_resumes_immediately():
     env.process(late_waiter(env))
     env.run()
     assert received == [(5.0, "early")]
+
+
+def test_timeout_at_fires_at_the_exact_clock_reading():
+    env = Environment(initial_time=0.1)
+    when = 0.1 + 0.2
+    fired = []
+
+    def proc(env):
+        yield env.timeout_at(when)
+        fired.append(env.now)
+
+    env.process(proc(env))
+    env.run()
+    assert fired == [when]
+    with pytest.raises(ValueError):
+        env.timeout_at(when - 0.01)
+
+
+def test_horizon_follows_bounded_runs_only():
+    env = Environment()
+    assert env.horizon == float("inf")
+    env.timeout(1.0)
+    env.timeout(3.0)
+    env.run_events(2.0)
+    assert env.horizon == 2.0
+    env.step()                  # steps leave it alone
+    assert env.horizon == 2.0
+    env.timeout(1.0)
+    env.run(until=5.0)
+    assert env.horizon == 5.0
+    env.run()
+    assert env.horizon == float("inf")
