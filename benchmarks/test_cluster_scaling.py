@@ -34,9 +34,10 @@ DEVICE = PlatformConfig(system="IntraO3", input_scale=CLUSTER_INPUT_SCALE)
 
 def test_cluster_scaling_sweep(benchmark):
     """Fleet goodput scales >= 1.8x (1 -> 2) and >= 3x (1 -> 4)."""
-    # The sweep's round-robin cells are eligible for the epoch-parallel
-    # runner (byte-identical reports, shared cache entries with serial),
-    # so the CI smoke exercises the parallel path end to end.
+    # The sweep's cells run on the epoch-parallel runner, so the CI
+    # smoke exercises the parallel path end to end.  Their cache keys
+    # include the parallel config: parallel reports are not always
+    # byte-identical to serial ones, so they never share an entry.
     points = run_once(
         benchmark, scaling_sweep, CLUSTER_DEVICE_COUNTS,
         CLUSTER_OFFERED_RPS, scenario=SCENARIO, device_config=DEVICE,

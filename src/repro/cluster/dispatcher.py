@@ -179,14 +179,8 @@ class ClusterDispatcher:
             # finished and its meter stopped; the transition is recorded
             # but must not resurrect it.
             return
-        if state is DeviceHealth.FAILED \
-                and shard.health is DeviceHealth.FAILED:
-            # Already failed: a repeated fault must not re-zero the
-            # capacity of a device that is self-draining its backlog
-            # (the no-peer fallback below), which would wedge the run.
-            return
-        shard.apply_health(state, self.cluster.degraded_capacity_factor)
-        if state is DeviceHealth.FAILED:
+        if shard.apply_health(state, self.cluster.degraded_capacity_factor) \
+                and state is DeviceHealth.FAILED:
             self._reroute_backlog(shard)
 
     def _reroute_backlog(self, failed: DeviceShard) -> None:

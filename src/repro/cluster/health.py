@@ -13,19 +13,25 @@ treats the device:
 * ``FAILED`` — out of rotation: receives no new traffic; its queued
   backlog is evicted and rerouted; requests already in flight drain on
   the device (fail-stop with drain — no admitted request is dropped).
+
+:func:`build_shard` and :func:`fault_driver` are shared by both cluster
+drivers, the serial session and the epoch-parallel runner.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence, Tuple
 
+from ..platform.cluster import ClusterConfig, FaultSpec
 from ..platform.config import PlatformConfig
 from ..serve.backends import ServingBackend
 from ..serve.frontend import ServingFrontend
+from ..serve.session import ServingScenario, build_serving_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..serve.slo import SLOTracker
+    from ..sim.engine import Environment
 
 
 class DeviceHealth(Enum):
@@ -94,12 +100,18 @@ class DeviceShard:
                 and not self.retired)
 
     def apply_health(self, state: DeviceHealth,
-                     degraded_capacity_factor: float) -> None:
+                     degraded_capacity_factor: float) -> bool:
         """Switch health state and derate/restore dispatch capacity.
 
-        Rerouting of a failed shard's backlog is the dispatcher's job
+        Returns ``False`` and changes nothing when a failed device fails
+        again: re-zeroing its capacity would wedge a device that is
+        self-draining its backlog (the no-peer fallback restores it).
+        What happens to a failed shard's backlog is the driver's job
         (it owns the placement policy); this only flips the local state.
         """
+        if state is DeviceHealth.FAILED \
+                and self.health is DeviceHealth.FAILED:
+            return False
         self.health = state
         if state is DeviceHealth.HEALTHY:
             self.frontend.capacity_limit = None
@@ -110,3 +122,45 @@ class DeviceShard:
             self.frontend.capacity_limit = 0
         # Capacity may have grown: let the dispatcher re-evaluate.
         self.frontend._kick()
+        return True
+
+
+def build_shard(scenario: ServingScenario, cluster: ClusterConfig,
+                index: int, env: "Environment", tracker_cls: type, /,
+                **tracker_args) -> DeviceShard:
+    """Device shard ``index`` of ``cluster``, built on ``env``.
+
+    The one shard factory of both cluster drivers: the serial session
+    passes a fleet-forwarding tracker class, the parallel runner an
+    epoch-buffering one (``tracker_args`` are that class's own
+    arguments).  The tracker's reservoir seed is a pure function of the
+    scenario seed and the index, offset past the fleet tracker's
+    per-tenant range, so elastic and parallel runs stay byte-comparable
+    with serial ones.
+    """
+    tenants = [t.name for t in scenario.tenants]
+    config = cluster.device_config(index)
+    backend = build_serving_backend(scenario, config, env=env)
+    tracker = tracker_cls(tenants=tenants,
+                          reservoir_capacity=scenario.reservoir_capacity,
+                          seed=scenario.seed + 1000 * (index + 1),
+                          **tracker_args)
+    frontend = ServingFrontend(env, backend, scenario.make_admission(),
+                               tracker, tenants,
+                               dispatch=scenario.make_dispatch())
+    return DeviceShard(index, config, backend, frontend, tracker)
+
+
+def fault_driver(env: "Environment",
+                 faults: Sequence[Tuple[int, FaultSpec]],
+                 apply: Callable[[int, FaultSpec], None]):
+    """Process generator: call ``apply(ordinal, fault)`` at each fault time.
+
+    ``faults`` are :meth:`~repro.platform.cluster.ClusterConfig.
+    ordered_faults` pairs (or a per-device slice of them).
+    """
+    for ordinal, fault in faults:
+        delay = fault.time_s - env.now
+        if delay > 0:
+            yield env.timeout(delay)
+        apply(ordinal, fault)

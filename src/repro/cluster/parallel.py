@@ -18,10 +18,11 @@ decisions (placement) and failure reroutes.  This module exploits that:
   health transitions and evicted backlogs flow back at the boundary.
 
 The epoch schedule is derived deterministically from config alone
-(:func:`build_epoch_schedule`): a boundary is forced at every fault
-time — so evictions reroute at exactly the simulated instant the serial
-dispatcher reroutes them — plus the arrival horizon.  When the placement
-policy is *snapshot-independent* (it routes without reading shard load,
+(:func:`build_epoch_schedule`): a boundary is forced at every fault time,
+``t=0`` included — so routing never sees a failed device as healthy, and
+evictions reroute at exactly the simulated instant the serial dispatcher
+reroutes them — plus the arrival horizon.  When the placement policy is
+*snapshot-independent* (it routes without reading shard load,
 e.g. round-robin or tenant-affinity; see
 :data:`~repro.cluster.placement.PlacementPolicy.snapshot_dependent`),
 those forced boundaries are the whole schedule: a healthy fleet runs the
@@ -46,18 +47,28 @@ the worker count** — one worker and eight workers produce byte-identical
 :class:`~repro.cluster.report.ClusterReport`s, and the in-process
 ``workers=1`` path executes the exact same coordinator logic on the
 exact same payloads (the wire codec is lossless).  For
-snapshot-independent placement the report is additionally byte-identical
-to the serial session's whenever the fleet still has work at the final
-epoch boundary (the normal operating regime for every shipped benchmark
-and sweep): forced fault boundaries reproduce the serial reroute
-interleaving exactly, shard clocks are never advanced past their last
-processed event (:meth:`~repro.sim.engine.Environment.run_events`), and
-the drain runs in two phases — settle every shard, compute the fleet
+snapshot-independent placement the runner follows the serial session as
+closely as its structure allows: forced fault boundaries reproduce the
+serial reroute interleaving, shard clocks are never advanced past their
+last processed event (:meth:`~repro.sim.engine.Environment.run_events`),
+and the drain runs in two phases — settle every shard, compute the fleet
 settle time, then finish every backend at that shared instant like the
-serial session does.  In a run that goes fully idle before the horizon,
-background poller events can leave a shard's clock past the fleet settle
-time, and the single ``makespan_s`` value may then differ from serial;
-every other field still matches.
+serial session does.  The report is still **not** always byte-identical
+to serial: shard clocks and energy meters can run past the fleet settle
+instant, so ``makespan_s``, ``energy_j`` and the per-device sections
+differ on many runs (most often at light load).  Experiment specs
+therefore never share a cache entry between this runner and the serial
+session.
+
+Both drivers share one cluster core: shards come from
+:func:`~repro.cluster.health.build_shard`, faults replay through
+:func:`~repro.cluster.health.fault_driver` over
+:meth:`~repro.platform.cluster.ClusterConfig.ordered_faults` with the
+repeated-failure guard in
+:meth:`~repro.cluster.health.DeviceShard.apply_health`, shard drains use
+:func:`~repro.serve.session.drive_until_settled`, and reports come from
+:func:`~repro.cluster.report.device_report` and
+:func:`~repro.cluster.report.assemble_cluster_report`.
 
 Observability note: this runner does not support :mod:`repro.obs` —
 per-worker tracers and metric samples cannot be stitched into one
@@ -76,24 +87,19 @@ import sys
 import threading
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..platform.cluster import ClusterConfig
+from ..platform.cluster import ClusterConfig, FaultSpec
 from ..policy import build_policy, policy_is_learned
-from ..serve.report import ServingReport
 from ..serve.request import Request, RequestRecord
-from ..serve.session import (
-    ServingScenario,
-    assemble_serving_report,
-    build_serving_backend,
-    latency_summary,
-)
+from ..serve.session import ServingScenario, drive_until_settled
 from ..serve.frontend import ServingFrontend
 from ..serve.slo import SLOTracker
 from ..sim.engine import Environment
-from .health import DeviceHealth, DeviceShard
+from .health import DeviceHealth, DeviceShard, build_shard, fault_driver
 from .placement import placement_snapshot_dependent
-from .report import ClusterReport
+from .report import ClusterReport, assemble_cluster_report, device_report
 
 #: Completion event crossing the epoch boundary:
 #: (completed_at, tenant_index, latency_s, violated).  The per-shard
@@ -113,8 +119,8 @@ class ParallelConfig:
 
     ``epoch_s`` is the cross-shard exchange quantum for
     snapshot-dependent placement (routing sees fresher queue state with
-    shorter epochs), so it is the only field serialized into experiment
-    cache keys.  ``workers`` is pure execution strategy — 0 means auto
+    shorter epochs) and the only field serialized into experiment cache
+    keys.  ``workers`` is pure execution strategy — 0 means auto
     (one worker per device, bounded by the CPU count), 1 forces the
     in-process path — and never affects results.  ``adaptive`` widens
     epochs to the next cross-shard event when the placement policy
@@ -151,15 +157,15 @@ def build_epoch_schedule(scenario: ServingScenario, cluster: ClusterConfig,
     Returns ``[(end_s, is_fault_time), ...]`` in ascending order.  A
     boundary is forced at every fault time so evicted backlogs reroute
     at exactly the instant the serial dispatcher reroutes them, plus the
-    arrival horizon.  Snapshot-dependent placement additionally keeps
-    the fixed ``epoch_s`` grid (fresh load snapshots are what it routes
-    on); snapshot-independent placement drops the grid when ``adaptive``
-    is set — the schedule is derived from config alone, never from
+    arrival horizon.  A fault at ``t=0`` gets a zero-length first epoch:
+    it takes effect before any arrival is routed.  Snapshot-dependent
+    placement additionally keeps the fixed ``epoch_s`` grid (fresh load
+    snapshots are what it routes on); snapshot-independent placement
+    drops the grid when ``adaptive`` is set — the schedule is derived from config alone, never from
     runtime state, so it is identical across worker counts and reruns.
     """
     horizon = scenario.duration_s
-    fault_times = {fault.time_s for fault in cluster.faults
-                   if fault.time_s > 0}
+    fault_times = {fault.time_s for fault in cluster.faults}
     boundaries = set(fault_times)
     boundaries.add(horizon)
     widen = parallel.adaptive and not placement_snapshot_dependent(
@@ -253,74 +259,40 @@ class _ShardGroup:
         self.scenario = scenario
         self.cluster = cluster
         self.requests = requests
-        tenants = [t.name for t in scenario.tenants]
         self.shards: Dict[int, DeviceShard] = {}
         self._evicted: Dict[int, List[Tuple[int, List[EvictedRecord]]]] = {}
         self._health_events: Dict[int, List[List[Any]]] = {}
-        self._self_draining: Dict[int, bool] = {}
-        self._closed: Dict[int, bool] = {}
-        # Global fault ordinals: the serial dispatcher fires all faults
-        # from one driver over the stable time-sorted config list, so
-        # same-time faults keep their config order.  Tagging every
-        # eviction batch and health event with the fault's position in
-        # that ordering lets the coordinator reproduce the serial
-        # sequence exactly when merging across shards.
-        order = sorted(range(len(cluster.faults)),
-                       key=lambda i: cluster.faults[i].time_s)
-        ordinal = {original: position
-                   for position, original in enumerate(order)}
+        # Every eviction batch and health event carries its fault's
+        # ordinal in the fleet-wide replay order, so the coordinator
+        # can merge them across shards in the serial sequence.
+        faults = cluster.ordered_faults()
         for index in indices:
-            config = cluster.devices[index]
             env = Environment()
-            backend = build_serving_backend(scenario, config, env=env)
-            # Reservoir seeds match the serial session's per-device
-            # offsets, so shard-level accounting is byte-comparable.
-            tracker = EpochTracker(
-                env, tenants,
-                reservoir_capacity=scenario.reservoir_capacity,
-                seed=scenario.seed + 1000 * (index + 1))
-            frontend = ServingFrontend(env, backend,
-                                       scenario.make_admission(),
-                                       tracker, tenants,
-                                       dispatch=scenario.make_dispatch())
-            shard = DeviceShard(index, config, backend, frontend, tracker)
+            shard = build_shard(scenario, cluster, index, env,
+                                EpochTracker, env=env)
             self.shards[index] = shard
             self._evicted[index] = []
             self._health_events[index] = []
-            self._self_draining[index] = False
-            self._closed[index] = False
-            backend.start()
-            mine = [(ordinal[i], fault)
-                    for i, fault in enumerate(cluster.faults)
+            shard.backend.start()
+            mine = [(ordinal, fault) for ordinal, fault in faults
                     if fault.device == index]
-            mine.sort(key=lambda entry: (entry[1].time_s, entry[0]))
             if mine:
-                env.process(self._fault_driver(shard, mine))
+                env.process(fault_driver(
+                    env, mine, partial(self._apply_fault, shard)))
 
     # -- in-simulation fault handling -----------------------------------
-    def _fault_driver(self, shard: DeviceShard, faults):
-        env = shard.backend.env
-        for ordinal, fault in faults:
-            delay = fault.time_s - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            state = DeviceHealth(fault.state)
-            self._health_events[shard.index].append(
-                [ordinal, env.now, shard.index, state.value])
-            if state is DeviceHealth.FAILED \
-                    and shard.health is DeviceHealth.FAILED:
-                # Repeated failure must not re-zero a self-draining
-                # device's capacity (mirrors the serial dispatcher).
-                continue
-            shard.apply_health(
-                state, self.cluster.degraded_capacity_factor)
-            if state is DeviceHealth.FAILED:
-                evicted = shard.frontend.evict_queued()
-                if evicted:
-                    self._evicted[shard.index].append(
-                        (ordinal, [_pack_record(r) for r in evicted]))
-            else:
-                self._self_draining[shard.index] = False
+    def _apply_fault(self, shard: DeviceShard, ordinal: int,
+                     fault: FaultSpec) -> None:
+        state = DeviceHealth(fault.state)
+        self._health_events[shard.index].append(
+            [ordinal, shard.backend.env.now, shard.index, state.value])
+        if shard.apply_health(state, self.cluster.degraded_capacity_factor) \
+                and state is DeviceHealth.FAILED:
+            # The coordinator places the backlog at the fault's boundary.
+            evicted = shard.frontend.evict_queued()
+            if evicted:
+                self._evicted[shard.index].append(
+                    (ordinal, [_pack_record(r) for r in evicted]))
 
     # -- per-epoch execution --------------------------------------------
     def run_epoch(self, end_s: float, at_s: float,
@@ -340,35 +312,26 @@ class _ShardGroup:
         for index in sorted(self.shards):
             shard = self.shards[index]
             env = shard.backend.env
-            if index in restore:
-                # Self-drain fallback: no routable peer exists, so the
-                # failed device works off its own backlog (serial
-                # semantics); don't re-evict it at the epoch boundary.
-                self._self_draining[index] = True
-            batch = adopted.get(index)
-            if batch or index in restore:
-                env.process(self._adopt_at(shard, at_s, batch or (),
-                                           index in restore))
+            self._adopt(shard, at_s, adopted, restore)
             mine = arrivals.get(index)
             if mine:
                 env.process(_epoch_arrivals(env, shard.frontend,
                                             self.requests, mine))
             env.run_events(end_s)
             shard.backend.check_health()
-            if shard.health is DeviceHealth.FAILED \
-                    and not self._self_draining[index]:
-                # Traffic routed here on a stale (pre-failure) snapshot
-                # would otherwise sit queued forever: hand it back.
-                # Unreachable with forced fault boundaries (routing
-                # observes every failure at its exact time), kept as a
-                # safety net for exotic schedules.
-                evicted = shard.frontend.evict_queued()
-                if evicted:
-                    self._evicted[index].append(
-                        (len(self.cluster.faults) + index,
-                         [_pack_record(r) for r in evicted]))
             results[index] = self._boundary_payload(index)
         return results
+
+    def _adopt(self, shard: DeviceShard, at_s: float,
+               adopted: Dict[int, Sequence[EvictedRecord]],
+               restore: Sequence[int]) -> bool:
+        """Schedule this shard's share of a rerouted backlog, if any."""
+        batch = adopted.get(shard.index)
+        if not batch and shard.index not in restore:
+            return False
+        shard.backend.env.process(self._adopt_at(
+            shard, at_s, batch or (), shard.index in restore))
+        return True
 
     def _adopt_at(self, shard: DeviceShard, at_s: float,
                   batch: Sequence[EvictedRecord], restore: bool):
@@ -378,8 +341,10 @@ class _ShardGroup:
         if delay > 0:
             yield env.timeout(delay)
         if restore:
-            # Serial fallback restores the failed device's capacity the
-            # moment it self-requeues (the dispatch loop must not wedge).
+            # No routable peer: the failed device works off its own
+            # backlog, and its capacity is restored the moment it
+            # self-requeues (serial semantics: the dispatch loop must
+            # not wedge).
             shard.frontend.capacity_limit = None
         for request_index, admitted_at, reroutes in batch:
             record = RequestRecord(request=self.requests[request_index])
@@ -418,41 +383,23 @@ class _ShardGroup:
         finish-at-settle-time.
         """
         results: Dict[int, Dict[str, Any]] = {}
-        stall_horizon = max(60.0, 10.0 * self.scenario.duration_s)
         for index in sorted(self.shards):
             shard = self.shards[index]
             env = shard.backend.env
-            frontend = shard.frontend
-            if index in restore:
-                self._self_draining[index] = True
-            batch = adopted.get(index)
-            if batch or index in restore:
-                env.process(self._adopt_at(shard, at_s, batch or (),
-                                           index in restore))
+            if self._adopt(shard, at_s, adopted, restore):
                 # Deliver before closing: the adoption event must land
                 # while the dispatch loop is still alive.
                 env.run_events(at_s if at_s > env.now else env.now)
-            if not self._closed[index]:
-                frontend.close()
-                self._closed[index] = True
-            last_settled = -1
-            last_progress = env.now
-            while not frontend.drained:
-                if env.peek() == float("inf"):
-                    raise RuntimeError(
-                        f"device {index} stalled while draining at "
-                        f"t={env.now:.3f}s")
-                if shard.tracker.settled != last_settled:
-                    last_settled = shard.tracker.settled
-                    last_progress = env.now
-                elif env.now - last_progress > stall_horizon:
-                    raise RuntimeError(
-                        f"device {index} made no progress for "
-                        f"{stall_horizon:.0f} simulated seconds")
-                env.step()
-                shard.backend.check_health()
+            shard.frontend.close()
+            # Closed, so every queued or in-flight request settles here.
+            tracker = shard.tracker
+            drive_until_settled(
+                env, tracker,
+                tracker.settled + shard.queued + shard.in_flight,
+                self.scenario.duration_s, shard.backend.check_health,
+                label=f"device {index} drain")
             payload = self._boundary_payload(index)
-            payload["settled_s"] = shard.tracker.last_settled_s
+            payload["settled_s"] = tracker.last_settled_s
             results[index] = payload
         return results
 
@@ -475,18 +422,8 @@ class _ShardGroup:
             shard.backend.finish()
             env.run()
             shard.backend.check_health()
-            stats_fn = getattr(shard.backend, "scheduler_stats", None)
-            report = assemble_serving_report(
-                self.scenario, shard.config.system, shard.tracker,
-                makespan_s=env.now, energy_j=shard.backend.energy_j,
-                scheduler_stats=stats_fn() if stats_fn else None)
             payload = self._boundary_payload(index)
-            payload.update({
-                "report": report.to_dict(),
-                "makespan_s": env.now,
-                "energy_j": shard.backend.energy_j,
-                "health": shard.health.value,
-            })
+            payload["report"] = device_report(self.scenario, shard)
             results[index] = payload
         return results
 
@@ -565,23 +502,25 @@ def unpack_shard_result(packed: Tuple) -> Dict[str, Any]:
 
 
 class _EpochShardView:
-    """Placement-policy view of one shard, coordinator side.
+    """Coordinator-side stand-in for one shard.
 
-    Carries the latest epoch-boundary snapshot; routing a request bumps
-    ``queued`` so policies like join-shortest-queue spread the epoch's
-    arrivals instead of dogpiling the shortest snapshot.
+    Carries the latest epoch-boundary snapshot plus the routing counters,
+    so placement policies and the shared report assembler see the same
+    surface as a :class:`~repro.cluster.health.DeviceShard`.  Routing a
+    request bumps ``queued`` so policies like join-shortest-queue spread
+    the epoch's arrivals instead of dogpiling the shortest snapshot.
     """
 
     __slots__ = ("index", "queued", "in_flight", "capacity", "energy_j",
-                 "health")
+                 "health", "routed", "rerouted_in", "rerouted_out")
 
-    def __init__(self, index: int, capacity: int):
+    def __init__(self, index: int,
+                 snapshot: Tuple[int, int, int, float, str]):
         self.index = index
-        self.queued = 0
-        self.in_flight = 0
-        self.capacity = capacity
-        self.energy_j = 0.0
-        self.health = DeviceHealth.HEALTHY
+        self.routed = 0
+        self.rerouted_in = 0
+        self.rerouted_out = 0
+        self.apply(snapshot)
 
     def apply(self, snapshot: Tuple[int, int, int, float, str]) -> None:
         """Fold one epoch-boundary snapshot into the view."""
@@ -890,10 +829,9 @@ class _Coordinator:
             "placement", cluster.placement_policy_spec(),
             device_count=cluster.device_count,
             salt=cluster.affinity_salt, seed=scenario.seed)
-        self.views = {index: _EpochShardView(index, snapshots[index][2])
-                      for index in sorted(snapshots)}
-        for index, snapshot in snapshots.items():
-            self.views[index].apply(snapshot)
+        #: One view per device, in device order (index == position).
+        self.shards = [_EpochShardView(index, snapshots[index])
+                       for index in sorted(snapshots)]
         self.requests = requests
         self.schedule = build_epoch_schedule(scenario, cluster, parallel)
         self._boundary = 0
@@ -902,13 +840,11 @@ class _Coordinator:
         #: admitted_at, reroutes), already in serial fault order.
         self.pending_reroutes: List[Tuple[int, int, Optional[float],
                                           int]] = []
-        self.routed = {index: 0 for index in self.views}
-        self.rerouted_in = {index: 0 for index in self.views}
-        self.rerouted_out = {index: 0 for index in self.views}
         self.reroutes = 0
         self.cluster_rejected = 0
         self._last_reject_s = 0.0
-        self.health_events: List[List[Any]] = []
+        #: ``[ordinal, time_s, device, state]`` rows as shards ship them.
+        self._health_events: List[List[Any]] = []
         self.epochs_run = 0
         self._cursor = 0
 
@@ -946,8 +882,7 @@ class _Coordinator:
             request = requests[cursor]
             cursor += 1
             self.fleet.on_offered(request.tenant)
-            routable = [view for view in self.views.values()
-                        if view.routable]
+            routable = [view for view in self.shards if view.routable]
             if not routable:
                 self.cluster_rejected += 1
                 self.fleet.on_rejected(request.tenant)
@@ -982,7 +917,7 @@ class _Coordinator:
         if not pending:
             return
         self.pending_reroutes = []
-        targets = [view for view in self.views.values() if view.routable]
+        targets = [view for view in self.shards if view.routable]
         for origin, request_index, admitted_at, reroutes in pending:
             if not targets:
                 # No routable peer: the failed origin self-drains
@@ -995,8 +930,8 @@ class _Coordinator:
             view = self.policy.select(self.requests[request_index],
                                       targets)
             view.queued += 1
-            self.rerouted_in[view.index] += 1
-            self.rerouted_out[origin] += 1
+            view.rerouted_in += 1
+            self.shards[origin].rerouted_out += 1
             self.reroutes += 1
             adopted.setdefault(view.index, []).append(
                 (request_index, admitted_at, reroutes + 1))
@@ -1008,7 +943,7 @@ class _Coordinator:
         evictions: List[Tuple[int, int, list]] = []
         for index in sorted(results):
             payload = results[index]
-            self.views[index].apply(payload["snapshot"])
+            self.shards[index].apply(payload["snapshot"])
             self._fold_counters(index, payload["admitted"],
                                 payload["rejected"])
             for seq, (done, tenant, latency, violated) \
@@ -1017,7 +952,7 @@ class _Coordinator:
                     (done, index, seq, tenant, latency, violated))
             for ordinal, records in payload["evicted"]:
                 evictions.append((ordinal, index, records))
-            self.health_events.extend(payload["health_events"])
+            self._health_events.extend(payload["health_events"])
         # Serial fault order: the single fault driver fires time-sorted
         # faults, so eviction batches merge by fault ordinal, not shard.
         evictions.sort(key=lambda entry: (entry[0], entry[1]))
@@ -1025,7 +960,13 @@ class _Coordinator:
             for request_index, admitted_at, reroutes in records:
                 self.pending_reroutes.append(
                     (origin, request_index, admitted_at, reroutes))
-        self._feed_completions(completions)
+        # Canonical merge order — (time, shard, shard-sequence) — makes
+        # the fleet reservoir's sample stream identical no matter how
+        # shards were partitioned over workers.
+        completions.sort(key=lambda c: (c[0], c[1], c[2]))
+        for _, _, _, tenant_index, latency, violated in completions:
+            self.fleet.on_completed(_FleetCompletion(
+                self.tenants[tenant_index], latency, violated))
 
     def _fold_counters(self, index: int, admitted: Dict[int, int],
                        rejected: Dict[int, int]) -> None:
@@ -1040,24 +981,12 @@ class _Coordinator:
             tenant = self.tenants[tenant_index]
             self.fleet.accounts[tenant].admitted += count
             self.fleet.aggregate.admitted += count
-            self.routed[index] += count
+            self.shards[index].routed += count
         for tenant_index in sorted(rejected):
             count = rejected[tenant_index]
             tenant = self.tenants[tenant_index]
             self.fleet.accounts[tenant].rejected += count
             self.fleet.aggregate.rejected += count
-
-    def _feed_completions(
-            self, completions: List[Tuple[float, int, int, int,
-                                          float, bool]]) -> None:
-        # Canonical merge order — (time, shard, shard-sequence) — makes
-        # the fleet reservoir's sample stream identical no matter how
-        # shards were partitioned over workers.
-        completions.sort(key=lambda c: (c[0], c[1], c[2]))
-        tenants = self.tenants
-        for _, _, _, tenant_index, latency, violated in completions:
-            self.fleet.on_completed(
-                _FleetCompletion(tenants[tenant_index], latency, violated))
 
     def settle_time(self, settle_results: Dict[int, Dict[str, Any]]
                     ) -> float:
@@ -1072,67 +1001,23 @@ class _Coordinator:
         return max([self._last_reject_s, *shard_settled], default=0.0)
 
     # -- final assembly ----------------------------------------------------
+    @property
+    def health_events(self) -> List[List[Any]]:
+        """``[time_s, device, state]`` rows in serial replay order."""
+        # The serial fault driver fires time-sorted faults in config
+        # order — exactly the ordinal each event carries.
+        return [event[1:] for event in
+                sorted(self._health_events, key=lambda event: event[0])]
+
     def assemble(self, finish: Dict[int, Dict[str, Any]]) -> ClusterReport:
         """Fold the drain-phase payloads and build the fleet report."""
-        completions: List[Tuple[float, int, int, int, float, bool]] = []
-        for index in sorted(finish):
-            payload = finish[index]
-            self._fold_counters(index, payload["admitted"],
-                                payload["rejected"])
-            for seq, (done, tenant, latency, violated) \
-                    in enumerate(payload["completions"]):
-                completions.append(
-                    (done, index, seq, tenant, latency, violated))
-            self.health_events.extend(payload["health_events"])
-        self._feed_completions(completions)
-        scenario = self.scenario
-        aggregate = self.fleet.aggregate
-        duration = scenario.duration_s
-        indices = sorted(finish)
-        makespan_s = max(finish[index]["makespan_s"] for index in indices)
-        devices = []
-        for index in indices:
-            device = ServingReport.from_dict(finish[index]["report"])
-            # The serial session stamps every device report with the
-            # shared final clock; per-shard clocks converge to the fleet
-            # max by construction (finalize drains them all).
-            device.makespan_s = makespan_s
-            devices.append(device)
-        placement_stats = {
-            "routed": [self.routed[index] for index in indices],
-            "rerouted_in": [self.rerouted_in[index] for index in indices],
-            "rerouted_out": [self.rerouted_out[index]
-                             for index in indices],
-            "reroutes": self.reroutes,
-            "cluster_rejected": self.cluster_rejected,
-            "final_health": [finish[index]["health"] for index in indices],
-        }
-        # Serial event order: the fault driver fires time-sorted faults
-        # in config order — exactly the ordinal each event carries.
-        self.health_events.sort(key=lambda event: event[0])
-        return ClusterReport(
-            system=self.cluster.label,
-            workload=scenario.label,
-            placement=self.cluster.placement,
-            device_count=len(indices),
-            duration_s=duration,
-            makespan_s=makespan_s,
-            offered=aggregate.offered,
-            admitted=aggregate.admitted,
-            rejected=aggregate.rejected,
-            completed=aggregate.completed,
-            slo_violations=aggregate.slo_violations,
-            offered_rps=aggregate.offered / duration,
-            goodput_rps=aggregate.goodput_rps(duration),
-            latency=latency_summary(aggregate),
-            per_tenant={tenant: self.fleet.account(tenant).as_dict(duration)
-                        for tenant in self.fleet.tenants()},
-            energy_j=sum(finish[index]["energy_j"] for index in indices),
-            devices=devices,
-            placement_stats=placement_stats,
-            health_events=[list(event[1:])
-                           for event in self.health_events],
-        )
+        self.fold_epoch(finish)
+        devices = [finish[index]["report"] for index in sorted(finish)]
+        # The serial session stamps every device report with the shared
+        # final clock; here that is the latest shard clock.
+        return assemble_cluster_report(
+            self.scenario, self, devices,
+            max(device.makespan_s for device in devices))
 
 
 def run_cluster_parallel(

@@ -7,15 +7,26 @@ rejected/completed), fleet goodput, the fleet-wide latency tail,
 per-tenant accounting, summed energy, placement statistics and the health
 timeline that was applied.  Like the other reports it round-trips
 losslessly through plain dicts so the experiment orchestrator's result
-cache can persist it.
+cache can persist it.  :func:`device_report` and
+:func:`assemble_cluster_report` are the one report assembler both cluster
+drivers (serial and epoch-parallel) call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
+from ..policy import learned_snapshot
 from ..serve.report import ServingReport
+from ..serve.session import (
+    ServingScenario,
+    assemble_serving_report,
+    latency_summary,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .health import DeviceShard
 
 
 @dataclass
@@ -158,3 +169,70 @@ class ClusterReport:
             learned=(dict(data["learned"])
                      if data.get("learned") is not None else None),
         )
+
+
+def device_report(scenario: ServingScenario,
+                  shard: "DeviceShard") -> ServingReport:
+    """One drained device's report, stamped with its shard's clock."""
+    backend = shard.backend
+    stats_fn = getattr(backend, "scheduler_stats", None)
+    report = assemble_serving_report(
+        scenario, shard.config.system, shard.tracker,
+        makespan_s=backend.env.now, energy_j=backend.energy_j,
+        scheduler_stats=stats_fn() if stats_fn else None)
+    report.learned = learned_snapshot({
+        "admission": shard.frontend.admission,
+        "dispatch": shard.frontend.dispatch_policy})
+    return report
+
+
+def assemble_cluster_report(scenario: ServingScenario, router: Any,
+                            devices: Sequence[ServingReport],
+                            makespan_s: float) -> ClusterReport:
+    """Roll one finished fleet run into a :class:`ClusterReport`.
+
+    ``router`` is whichever object routed the run — the serial
+    :class:`~repro.cluster.dispatcher.ClusterDispatcher` or the parallel
+    runner's coordinator.  Both expose ``cluster``, the fleet tracker
+    ``fleet``, ``reroutes``, ``cluster_rejected``, ``health_events`` as
+    ``(time_s, device, state)`` rows in replay order, and ``shards`` in
+    device order, each with ``routed``/``rerouted_in``/``rerouted_out``
+    counters, ``health`` and ``energy_j``.  Every device report is
+    stamped with the fleet's final clock ``makespan_s``.
+    """
+    shards = router.shards
+    fleet = router.fleet
+    aggregate = fleet.aggregate
+    duration = scenario.duration_s
+    for device in devices:
+        device.makespan_s = makespan_s
+    placement_stats = {
+        "routed": [shard.routed for shard in shards],
+        "rerouted_in": [shard.rerouted_in for shard in shards],
+        "rerouted_out": [shard.rerouted_out for shard in shards],
+        "reroutes": router.reroutes,
+        "cluster_rejected": router.cluster_rejected,
+        "final_health": [shard.health.value for shard in shards],
+    }
+    return ClusterReport(
+        system=router.cluster.label,
+        workload=scenario.label,
+        placement=router.cluster.placement,
+        device_count=len(shards),
+        duration_s=duration,
+        makespan_s=makespan_s,
+        offered=aggregate.offered,
+        admitted=aggregate.admitted,
+        rejected=aggregate.rejected,
+        completed=aggregate.completed,
+        slo_violations=aggregate.slo_violations,
+        offered_rps=aggregate.offered / duration,
+        goodput_rps=aggregate.goodput_rps(duration),
+        latency=latency_summary(aggregate),
+        per_tenant={tenant: fleet.account(tenant).as_dict(duration)
+                    for tenant in fleet.tenants()},
+        energy_j=sum(shard.energy_j for shard in shards),
+        devices=list(devices),
+        placement_stats=placement_stats,
+        health_events=[list(event) for event in router.health_events],
+    )

@@ -16,24 +16,19 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..obs import MetricsBus, ObsConfig, Tracer, wire_cluster_metrics
-from ..platform.cluster import ClusterConfig, FaultSpec
+from ..platform.cluster import ClusterConfig
 from ..policy import learned_snapshot, wire_feedback
-from ..serve.report import ServingReport
 from ..serve.session import (
     ServingScenario,
     arrival_driver,
-    assemble_serving_report,
-    build_serving_backend,
     drive_until_settled,
-    latency_summary,
 )
-from ..serve.frontend import ServingFrontend
 from ..serve.slo import SLOTracker
 from ..sim.engine import Environment
 from .autoscale import AutoscaleController
 from .dispatcher import ClusterDispatcher, ShardTracker
-from .health import DeviceHealth, DeviceShard
-from .report import ClusterReport
+from .health import DeviceHealth, DeviceShard, build_shard, fault_driver
+from .report import ClusterReport, assemble_cluster_report, device_report
 
 
 class ClusterSession:
@@ -65,52 +60,19 @@ class ClusterSession:
     # ------------------------------------------------------------------ #
     def _build_shard(self, env: Environment, fleet: SLOTracker,
                      index: int) -> DeviceShard:
-        """One device shard, from the config of fleet position ``index``.
+        """Device shard ``index`` on the shared environment.
 
         Positions past the configured ``devices`` (elastic scale-up)
-        clone the device template; either way the shard's reservoir seed
-        is a pure function of the scenario seed and the index, so elastic
-        runs stay byte-reproducible.
+        clone the device template.
         """
-        scenario = self.scenario
-        tenants = [t.name for t in scenario.tenants]
-        config = self.cluster.device_config(index)
-        backend = build_serving_backend(scenario, config, env=env)
-        # Distinct deterministic reservoir seeds per device, offset
-        # past the fleet tracker's own per-tenant seed range.
-        tracker = ShardTracker(
-            tenants, fleet,
-            reservoir_capacity=scenario.reservoir_capacity,
-            seed=scenario.seed + 1000 * (index + 1))
-        frontend = ServingFrontend(env, backend,
-                                   scenario.make_admission(),
-                                   tracker, tenants,
-                                   dispatch=scenario.make_dispatch())
-        shard = DeviceShard(index, config, backend, frontend, tracker)
+        shard = build_shard(self.scenario, self.cluster, index, env,
+                            ShardTracker, fleet=fleet)
         if self.tracer is not None:
             # Tag every span with the shard's device index so trace
             # tracks separate per device.
             shard.frontend.trace_device = shard.index
             shard.backend.bind_trace_device(shard.index)
         return shard
-
-    def _build_shards(self, env: Environment,
-                      fleet: SLOTracker) -> List[DeviceShard]:
-        return [self._build_shard(env, fleet, index)
-                for index in range(len(self.cluster.devices))]
-
-    # ------------------------------------------------------------------ #
-    # Simulation processes                                                #
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _fault_driver(env: Environment, dispatcher: ClusterDispatcher,
-                      faults: List[FaultSpec]):
-        for fault in faults:
-            delay = fault.time_s - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            dispatcher.set_health(fault.device,
-                                  DeviceHealth(fault.state))
 
     # ------------------------------------------------------------------ #
     # Execution                                                           #
@@ -129,7 +91,8 @@ class ClusterSession:
         fleet = SLOTracker(tenants,
                            reservoir_capacity=scenario.reservoir_capacity,
                            seed=scenario.seed)
-        shards = self._build_shards(env, fleet)
+        shards = [self._build_shard(env, fleet, index)
+                  for index in range(len(self.cluster.devices))]
         dispatcher = ClusterDispatcher(env, shards, self.cluster, fleet,
                                        seed=scenario.seed)
         # Learned-policy feedback: each shard's own learned admission/
@@ -164,9 +127,11 @@ class ClusterSession:
         for shard in shards:
             shard.backend.start()
         env.process(arrival_driver(env, dispatcher, requests))
-        faults = sorted(self.cluster.faults, key=lambda f: f.time_s)
-        if faults:
-            env.process(self._fault_driver(env, dispatcher, faults))
+        if self.cluster.faults:
+            env.process(fault_driver(
+                env, self.cluster.ordered_faults(),
+                lambda _, fault: dispatcher.set_health(
+                    fault.device, DeviceHealth(fault.state))))
         def check_fleet_health():
             """Surface crashes from any shard's backend processes."""
             for shard in shards:
@@ -191,7 +156,9 @@ class ClusterSession:
         # energy accounting covers every byte served fleet-wide.
         env.run()
         check_fleet_health()
-        report = self._assemble_report(env, shards, dispatcher, fleet)
+        report = assemble_cluster_report(
+            scenario, dispatcher,
+            [device_report(scenario, shard) for shard in shards], env.now)
         if bus is not None:
             self.metrics = bus.timeline
             report.metrics = bus.timeline.to_dict()
@@ -199,61 +166,6 @@ class ClusterSession:
             report.autoscaler = controller.summary(env.now)
         report.learned = learned_snapshot({"placement": dispatcher.policy})
         return report
-
-    # ------------------------------------------------------------------ #
-    # Report assembly                                                     #
-    # ------------------------------------------------------------------ #
-    def _device_report(self, env: Environment,
-                       shard: DeviceShard) -> ServingReport:
-        stats_fn = getattr(shard.backend, "scheduler_stats", None)
-        report = assemble_serving_report(
-            self.scenario, shard.config.system, shard.tracker,
-            makespan_s=env.now, energy_j=shard.backend.energy_j,
-            scheduler_stats=stats_fn() if stats_fn else None)
-        report.learned = learned_snapshot({
-            "admission": shard.frontend.admission,
-            "dispatch": shard.frontend.dispatch_policy})
-        return report
-
-    def _assemble_report(self, env: Environment,
-                         shards: List[DeviceShard],
-                         dispatcher: ClusterDispatcher,
-                         fleet: SLOTracker) -> ClusterReport:
-        scenario = self.scenario
-        aggregate = fleet.aggregate
-        duration = scenario.duration_s
-        devices = [self._device_report(env, shard) for shard in shards]
-        placement_stats = {
-            "routed": [shard.routed for shard in shards],
-            "rerouted_in": [shard.rerouted_in for shard in shards],
-            "rerouted_out": [shard.rerouted_out for shard in shards],
-            "reroutes": dispatcher.reroutes,
-            "cluster_rejected": dispatcher.cluster_rejected,
-            "final_health": [shard.health.value for shard in shards],
-        }
-        return ClusterReport(
-            system=self.cluster.label,
-            workload=scenario.label,
-            placement=self.cluster.placement,
-            device_count=len(shards),
-            duration_s=duration,
-            makespan_s=env.now,
-            offered=aggregate.offered,
-            admitted=aggregate.admitted,
-            rejected=aggregate.rejected,
-            completed=aggregate.completed,
-            slo_violations=aggregate.slo_violations,
-            offered_rps=aggregate.offered / duration,
-            goodput_rps=aggregate.goodput_rps(duration),
-            latency=latency_summary(aggregate),
-            per_tenant={tenant: fleet.account(tenant).as_dict(duration)
-                        for tenant in fleet.tenants()},
-            energy_j=sum(shard.backend.energy_j for shard in shards),
-            devices=devices,
-            placement_stats=placement_stats,
-            health_events=[list(event)
-                           for event in dispatcher.health_events],
-        )
 
 
 def run_cluster(scenario: ServingScenario,

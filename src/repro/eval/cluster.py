@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import List, Optional, Sequence
 
 from ..cluster.parallel import ParallelClusterSession, ParallelConfig
-from ..cluster.placement import placement_snapshot_dependent
 from ..cluster.report import ClusterReport
 from ..cluster.session import ClusterSession
 from ..obs import ObsConfig
@@ -52,12 +51,12 @@ class ClusterExperimentSpec:
     scenario: ServingScenario
     cluster: ClusterConfig
     #: Optional epoch-parallel execution (None = serial session).  Folds
-    #: into the cache key only when it can change the report payload:
-    #: snapshot-independent placement (round-robin, tenant-affinity) is
-    #: byte-identical to serial, so those specs *alias* the serial cache
-    #: entry; snapshot-dependent placement routes on epoch snapshots, so
-    #: its ``epoch_s`` is semantic and re-keys the entry.  The worker
-    #: count is always pure execution strategy.
+    #: into the cache key whenever :meth:`execute` takes the parallel
+    #: path: its report is not always byte-identical to serial (shard
+    #: clocks and energy can run past the fleet settle instant), so no
+    #: parallel run shares a serial cache entry.  Specs that fall back to
+    #: the serial session keep the serial key.  The worker count is
+    #: always pure execution strategy.
     parallel: Optional[ParallelConfig] = None
     #: Optional observability (None = no tracing/metrics).  Changes the
     #: report payload (the ``metrics`` timeline), so it folds into the
@@ -69,15 +68,15 @@ class ClusterExperimentSpec:
         payload = {"scenario": self.scenario.to_dict(),
                    "cluster": self.cluster.config_hash(),
                    "revision": CACHE_REVISION}
-        # Folded in only when the parallel strategy can change the
-        # payload; byte-identical-to-serial runs share the serial cache
-        # entry, and pre-parallel specs keep their keys byte-identical.
-        # behavior_rev re-keys snapshot-dependent entries whenever the
-        # epoch runner's observable routing behaviour changes (rev 2:
-        # fault-time boundaries + exact-instant backlog adoption).
-        if self._parallel_affects_results():
+        # Folded in only when the parallel runner executes the spec, so
+        # serial specs keep their keys byte-identical.  behavior_rev
+        # re-keys parallel entries whenever the epoch runner's results
+        # change (rev 2: fault-time boundaries + exact-instant backlog
+        # adoption; rev 3: a fault at t=0 applies before the first
+        # epoch routes).
+        if self._runs_parallel():
             payload["parallel"] = dict(self.parallel.to_dict(),
-                                       behavior_rev=2)
+                                       behavior_rev=3)
         if self.obs is not None:
             payload["obs"] = self.obs.to_dict()
         canonical = json.dumps(payload, sort_keys=True,
@@ -85,23 +84,19 @@ class ClusterExperimentSpec:
         digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
         return ExperimentKey(self.cluster.label, self.scenario.label, digest)
 
-    def _parallel_affects_results(self) -> bool:
-        """Whether the parallel config can change the report payload.
+    def _runs_parallel(self) -> bool:
+        """Whether :meth:`execute` takes the epoch-parallel path.
 
-        Mirrors :meth:`execute`'s fallback chain: runs that fall back to
-        the serial session (observability, elastic, learned) produce the
-        serial payload regardless of the parallel config, and
-        snapshot-independent placement produces it byte-identically even
-        on the parallel path.
+        Observability needs the serial shared-environment session (the
+        parallel runner's worker tracers and metric samples could not be
+        stitched into one fleet timeline), an autoscaled fleet resizes
+        mid-run, and the parallel runner refuses learned policies
+        (per-worker state would diverge): all three run serially.
         """
-        if self.parallel is None:
-            return False
-        if self.obs is not None and self.obs.enabled:
-            return False
-        if self.cluster.elastic or self._uses_learned_policy():
-            return False
-        return placement_snapshot_dependent(
-            self.cluster.placement_policy_spec())
+        return (self.parallel is not None
+                and not (self.obs is not None and self.obs.enabled)
+                and not self.cluster.elastic
+                and not self._uses_learned_policy())
 
     def _uses_learned_policy(self) -> bool:
         """Whether any domain of this run selects a learned policy."""
@@ -116,26 +111,7 @@ class ClusterExperimentSpec:
 
     def execute(self) -> ClusterReport:
         """Run this cluster experiment in-process (fresh Environment)."""
-        if self.obs is not None and self.obs.enabled:
-            # Observability needs the serial shared-environment session:
-            # the epoch-parallel strategy runs devices in worker
-            # processes, whose tracers/metric samples could not be
-            # stitched into one coherent fleet timeline.
-            return ClusterSession(self.scenario, self.cluster,
-                                  obs=self.obs).run()
-        if self.cluster.elastic:
-            # An autoscaled fleet resizes mid-run; only the serial
-            # shared-environment session supports that.
-            return ClusterSession(self.scenario, self.cluster,
-                                  obs=self.obs).run()
-        if self.parallel is not None and self._uses_learned_policy():
-            # Learned policies are stateful across the fleet; the
-            # epoch-parallel runner refuses them (per-worker state would
-            # diverge), so learned cells silently take the serial path
-            # exactly like elastic ones.
-            return ClusterSession(self.scenario, self.cluster,
-                                  obs=self.obs).run()
-        if self.parallel is not None:
+        if self._runs_parallel():
             return ParallelClusterSession(
                 self.scenario, self.cluster, self.parallel).run()
         return ClusterSession(self.scenario, self.cluster,
@@ -194,8 +170,8 @@ def scaling_specs(device_counts: Sequence[int],
     """The [spec per device count] column of one scaling sweep.
 
     ``parallel_config`` opts the sweep's cells into the epoch-parallel
-    runner; with the default round-robin placement that is purely an
-    execution strategy (byte-identical reports, shared cache entries).
+    runner (keyed apart from serial cells: the reports can differ in
+    makespan and energy).
     """
     base_scenario = scenario if scenario is not None else ServingScenario()
     base_scenario = base_scenario.with_overrides(offered_rps=offered_rps)

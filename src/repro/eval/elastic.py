@@ -258,8 +258,8 @@ def elastic_comparison(scenario: ServingScenario, label: str,
     static = ClusterConfig.homogeneous(max_devices, device, faults=faults)
     # The elastic cell needs the serial session (the fleet resizes
     # mid-run); the static reference is a fixed round-robin fleet, so it
-    # takes the epoch-parallel path — byte-identical by contract, and
-    # key-aliased to the serial cache entry.
+    # takes the epoch-parallel path.  Its makespan and energy can differ
+    # from a serial run's (shard clocks can pass the fleet settle time).
     specs = [ClusterExperimentSpec(scenario=scenario, cluster=elastic),
              ClusterExperimentSpec(scenario=scenario, cluster=static,
                                    parallel=ParallelConfig())]

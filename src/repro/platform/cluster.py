@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..policy import PolicySpec, policy_names
 from .config import PlatformConfig
@@ -233,6 +233,17 @@ class ClusterConfig:
         if self.placement_spec is not None:
             return self.placement_spec
         return PolicySpec(self.placement)
+
+    def ordered_faults(self) -> List[Tuple[int, FaultSpec]]:
+        """The fault timeline in replay order, as ``(ordinal, fault)``.
+
+        Faults replay by time, then config order; ``ordinal`` is the
+        fault's position in that order.  Both cluster drivers replay
+        this one sequence, and the parallel runner merges per-device
+        events by ordinal to reproduce it across processes.
+        """
+        return list(enumerate(sorted(self.faults,
+                                     key=lambda fault: fault.time_s)))
 
     # ------------------------------------------------------------------ #
     # Derived properties                                                   #

@@ -53,7 +53,7 @@ DOMAIN_MODULES: Dict[str, Tuple[str, ...]] = {
 }
 
 #: Alternate spellings accepted by lookups, kept for the legacy string
-#: knobs (``make_admission("always")`` predates the registry).
+#: knobs (``ServingScenario(admission="always")`` predates the registry).
 DOMAIN_ALIASES: Dict[str, Dict[str, str]] = {
     "admission": {"always": "none"},
 }

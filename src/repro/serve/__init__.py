@@ -15,7 +15,6 @@ from .admission import (
     DeadlineAwareAdmission,
     QueueDepthAdmission,
     TokenBucketAdmission,
-    make_admission,
 )
 from .dispatch import (
     DispatchPolicy,
@@ -57,7 +56,6 @@ __all__ = [
     "DeadlineAwareAdmission",
     "QueueDepthAdmission",
     "TokenBucketAdmission",
-    "make_admission",
     "DispatchPolicy",
     "RoundRobinDispatch",
     "StrictPriorityDispatch",
