@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..sim.engine import Environment
+from ..sim.engine import Environment, raise_on_failure
 from ..hw.power import (
     COMPUTATION,
     DATA_MOVEMENT,
@@ -99,7 +99,7 @@ class BaselineSystem:
         """Run ``kernels`` serially through the conventional path."""
         if not kernels:
             raise ValueError("run_workload needs at least one kernel")
-        self.env.process(self._driver(list(kernels)))
+        raise_on_failure(self.env.process(self._driver(list(kernels))))
         self.env.run()
         makespan = self.env.now
         # Host + SSD idle draw while the accelerator computes: the host

@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..policy import build_policy, register_policy
+from ..sim.engine import raise_on_failure
 
 #: Action tags recorded in the controller's event log.
 SCALE_UP = "scale_up"
@@ -259,7 +260,7 @@ class AutoscaleController:
 
     def install(self, env) -> None:
         """Start the control-loop process (first tick after one interval)."""
-        env.process(self._loop(env))
+        raise_on_failure(env.process(self._loop(env)))
 
     def _loop(self, env):
         interval = self.interval_s
@@ -367,8 +368,8 @@ class AutoscaleController:
             shard.activated_at = now
             if self.warmup_s > 0:
                 shard.warming = True
-                self._warm_timers.append(
-                    self.env.process(self._warm(shard)))
+                self._warm_timers.append(raise_on_failure(
+                    self.env.process(self._warm(shard))))
             self.dispatcher.add_shard(shard)
             self.events.append([now, SCALE_UP, index])
             self._tap(shard)

@@ -96,7 +96,7 @@ from ..serve.request import Request, RequestRecord
 from ..serve.session import ServingScenario, drive_until_settled
 from ..serve.frontend import ServingFrontend
 from ..serve.slo import SLOTracker
-from ..sim.engine import Environment
+from ..sim.engine import Environment, raise_on_failure
 from .health import DeviceHealth, DeviceShard, build_shard, fault_driver
 from .placement import placement_snapshot_dependent
 from .report import ClusterReport, assemble_cluster_report, device_report
@@ -277,8 +277,8 @@ class _ShardGroup:
             mine = [(ordinal, fault) for ordinal, fault in faults
                     if fault.device == index]
             if mine:
-                env.process(fault_driver(
-                    env, mine, partial(self._apply_fault, shard)))
+                raise_on_failure(env.process(fault_driver(
+                    env, mine, partial(self._apply_fault, shard))))
 
     # -- in-simulation fault handling -----------------------------------
     def _apply_fault(self, shard: DeviceShard, ordinal: int,
@@ -315,10 +315,9 @@ class _ShardGroup:
             self._adopt(shard, at_s, adopted, restore)
             mine = arrivals.get(index)
             if mine:
-                env.process(_epoch_arrivals(env, shard.frontend,
-                                            self.requests, mine))
+                raise_on_failure(env.process(_epoch_arrivals(
+                    env, shard.frontend, self.requests, mine)))
             env.run_events(end_s)
-            shard.backend.check_health()
             results[index] = self._boundary_payload(index)
         return results
 
@@ -329,8 +328,8 @@ class _ShardGroup:
         batch = adopted.get(shard.index)
         if not batch and shard.index not in restore:
             return False
-        shard.backend.env.process(self._adopt_at(
-            shard, at_s, batch or (), shard.index in restore))
+        raise_on_failure(shard.backend.env.process(self._adopt_at(
+            shard, at_s, batch or (), shard.index in restore)))
         return True
 
     def _adopt_at(self, shard: DeviceShard, at_s: float,
@@ -396,8 +395,7 @@ class _ShardGroup:
             drive_until_settled(
                 env, tracker,
                 tracker.settled + shard.queued + shard.in_flight,
-                self.scenario.duration_s, shard.backend.check_health,
-                label=f"device {index} drain")
+                self.scenario.duration_s, label=f"device {index} drain")
             payload = self._boundary_payload(index)
             payload["settled_s"] = tracker.last_settled_s
             results[index] = payload
@@ -418,10 +416,8 @@ class _ShardGroup:
             env = shard.backend.env
             if env.now < settle_s:
                 env.run(until=settle_s)
-            shard.backend.check_health()
             shard.backend.finish()
             env.run()
-            shard.backend.check_health()
             payload = self._boundary_payload(index)
             payload["report"] = device_report(self.scenario, shard)
             results[index] = payload

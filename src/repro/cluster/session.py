@@ -24,7 +24,7 @@ from ..serve.session import (
     drive_until_settled,
 )
 from ..serve.slo import SLOTracker
-from ..sim.engine import Environment
+from ..sim.engine import Environment, raise_on_failure
 from .autoscale import AutoscaleController
 from .dispatcher import ClusterDispatcher, ShardTracker
 from .health import DeviceHealth, DeviceShard, build_shard, fault_driver
@@ -126,19 +126,15 @@ class ClusterSession:
         requests = scenario.make_arrivals().generate(scenario.duration_s)
         for shard in shards:
             shard.backend.start()
-        env.process(arrival_driver(env, dispatcher, requests))
+        raise_on_failure(env.process(arrival_driver(env, dispatcher,
+                                                    requests)))
         if self.cluster.faults:
-            env.process(fault_driver(
+            raise_on_failure(env.process(fault_driver(
                 env, self.cluster.ordered_faults(),
                 lambda _, fault: dispatcher.set_health(
-                    fault.device, DeviceHealth(fault.state))))
-        def check_fleet_health():
-            """Surface crashes from any shard's backend processes."""
-            for shard in shards:
-                shard.backend.check_health()
-
+                    fault.device, DeviceHealth(fault.state)))))
         drive_until_settled(env, fleet, len(requests), scenario.duration_s,
-                            check_fleet_health, label="cluster run")
+                            label="cluster run")
         if bus is not None:
             # Final sample at settle time, then retire the sampler
             # (de-scheduling its pending tick) so the drain loop below
@@ -155,7 +151,6 @@ class ClusterSession:
         # Drain background work (Storengine flush/GC) on every device so
         # energy accounting covers every byte served fleet-wide.
         env.run()
-        check_fleet_health()
         report = assemble_cluster_report(
             scenario, dispatcher,
             [device_report(scenario, shard) for shard in shards], env.now)

@@ -15,7 +15,7 @@ O(log n).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 READ = "read"
 WRITE = "write"
@@ -55,6 +55,10 @@ class _Node:
         self.max_end = locked_range.end
 
 
+def _is_black(node: Optional[_Node]) -> bool:
+    return node is None or node.color is BLACK
+
+
 class RangeLockConflict(Exception):
     """Raised (or returned as a denial) when a lock request conflicts."""
 
@@ -87,7 +91,7 @@ class RangeLock:
         description of the protection rule.
         """
         requested = LockedRange(start=start, end=end, mode=mode, owner=owner)
-        conflict = self._find_conflict(requested)
+        conflict = self._find_conflict(start, end, mode)
         if conflict is not None:
             return RangeLockConflict(requested, conflict)
         self._insert(requested)
@@ -117,51 +121,86 @@ class RangeLock:
 
     def ranges(self) -> List[LockedRange]:
         """All currently locked ranges, in start order."""
-        return [node.range for node in self._in_order(self._root)]
+        return [node.range for node in self._nodes()]
 
     def conflicts_with(self, start: int, end: int, mode: str) -> List[LockedRange]:
         """All locked ranges that would block a [start, end] ``mode`` request."""
-        return [node.range for node in self._in_order(self._root)
+        return [node.range for node in self._nodes()
                 if node.range.overlaps(start, end)
                 and not (node.range.mode == READ and mode == READ)]
 
-    # -- conflict search ------------------------------------------------------
-    def _find_conflict(self, requested: LockedRange) -> Optional[LockedRange]:
-        node = self._root
-        while node is not None:
-            if (node.range.overlaps(requested.start, requested.end)
-                    and not (node.range.mode == READ and requested.mode == READ)):
-                return node.range
-            if (node.left is not None
-                    and node.left.max_end >= requested.start):
-                node = node.left
-            else:
-                node = node.right
-        # The subtree descent above can miss read/read overlaps that hide a
-        # conflicting write deeper down; fall back to a full scan in the
-        # (rare) case the fast path found nothing but overlaps exist.
-        for candidate in self._in_order(self._root):
-            if (candidate.range.overlaps(requested.start, requested.end)
-                    and not (candidate.range.mode == READ
-                             and requested.mode == READ)):
-                return candidate.range
+    # -- searches -------------------------------------------------------------
+    def _find_conflict(self, start: int, end: int,
+                       mode: str) -> Optional[LockedRange]:
+        """A locked range that blocks a [start, end] ``mode`` request.
+
+        Depth-first over the subtrees that can hold an overlap: none can
+        whose ``max_end`` lies before ``start``, and a node that starts
+        after ``end`` rules out its right subtree.  A write request stops
+        at the first overlap; a read request passes over overlapping
+        reads, so it visits O(log n) nodes plus those reads.
+        """
+        root = self._root
+        if root is None or root.max_end < start:
+            return None
+        read = mode == READ
+        stack = [root]
+        pop = stack.pop
+        push = stack.append
+        while stack:
+            node = pop()
+            locked = node.range
+            if locked.start <= end:
+                if locked.end >= start and not (read and locked.mode == READ):
+                    return locked
+                right = node.right
+                if right is not None and right.max_end >= start:
+                    push(right)
+            left = node.left
+            if left is not None and left.max_end >= start:
+                push(left)
         return None
 
     def _find_exact(self, start: int, end: int, owner: int) -> Optional[_Node]:
-        for node in self._in_order(self._root):
-            if (node.range.start == start and node.range.end == end
-                    and node.range.owner == owner):
-                return node
-        return None
+        """BST descent to the node locking exactly [start, end] for ``owner``.
+
+        Rotations can leave ranges with equal starts on both sides of a
+        node, so an equal start searches both subtrees.
+        """
+        node = self._root
+        stack: List[_Node] = []
+        while True:
+            while node is not None:
+                locked = node.range
+                if start < locked.start:
+                    node = node.left
+                elif start > locked.start:
+                    node = node.right
+                else:
+                    if locked.end == end and locked.owner == owner:
+                        return node
+                    if node.right is not None:
+                        stack.append(node.right)
+                    node = node.left
+            if not stack:
+                return None
+            node = stack.pop()
+
+    def _nodes(self) -> List[_Node]:
+        """Every node in start order (iterative in-order walk)."""
+        nodes: List[_Node] = []
+        stack: List[_Node] = []
+        node = self._root
+        while stack or node is not None:
+            while node is not None:
+                stack.append(node)
+                node = node.left
+            node = stack.pop()
+            nodes.append(node)
+            node = node.right
+        return nodes
 
     # -- red-black machinery -----------------------------------------------
-    def _in_order(self, node: Optional[_Node]) -> Iterator[_Node]:
-        if node is None:
-            return
-        yield from self._in_order(node.left)
-        yield node
-        yield from self._in_order(node.right)
-
     def _insert(self, locked_range: LockedRange) -> None:
         new = _Node(locked_range)
         parent, node = None, self._root
@@ -179,15 +218,50 @@ class RangeLock:
         self._update_max_up(new)
         self._fix_insert(new)
 
+    def _transplant(self, old: _Node, new: Optional[_Node]) -> None:
+        """Put ``new`` where ``old`` hangs from its parent."""
+        parent = old.parent
+        if parent is None:
+            self._root = new
+        elif old is parent.left:
+            parent.left = new
+        else:
+            parent.right = new
+        if new is not None:
+            new.parent = parent
+
     def _remove(self, node: _Node) -> None:
-        # Simple removal: rebuild is acceptable for the modest lock counts
-        # Flashvisor sees (one range per active data section), but we keep a
-        # structural remove for correctness with large synthetic tests.
-        ranges = [n.range for n in self._in_order(self._root) if n is not node]
-        self._root = None
-        self._size = 0
-        for r in ranges:
-            self._insert(r)
+        """CLRS red-black delete, keeping ``max_end`` exact on the way."""
+        self._size -= 1
+        removed_color = node.color
+        if node.left is None:
+            child, parent = node.right, node.parent
+            self._transplant(node, child)
+        elif node.right is None:
+            child, parent = node.left, node.parent
+            self._transplant(node, child)
+        else:
+            # Splice out the in-order successor and put it in node's place.
+            successor = node.right
+            while successor.left is not None:
+                successor = successor.left
+            removed_color = successor.color
+            child = successor.right
+            if successor.parent is node:
+                parent = successor
+            else:
+                parent = successor.parent
+                self._transplant(successor, child)
+                successor.right = node.right
+                successor.right.parent = successor
+            self._transplant(node, successor)
+            successor.left = node.left
+            successor.left.parent = successor
+            successor.color = node.color
+        # Only the subtrees on the path above the splice point changed.
+        self._update_max_up(parent)
+        if removed_color is BLACK:
+            self._fix_remove(child, parent)
 
     def _rotate_left(self, x: _Node) -> None:
         y = x.right
@@ -223,16 +297,20 @@ class RangeLock:
         self._update_max(x)
         self._update_max(y)
 
-    def _update_max(self, node: _Node) -> None:
-        node.max_end = node.range.end
-        if node.left is not None:
-            node.max_end = max(node.max_end, node.left.max_end)
-        if node.right is not None:
-            node.max_end = max(node.max_end, node.right.max_end)
+    @staticmethod
+    def _update_max(node: _Node) -> None:
+        best = node.range.end
+        left, right = node.left, node.right
+        if left is not None and left.max_end > best:
+            best = left.max_end
+        if right is not None and right.max_end > best:
+            best = right.max_end
+        node.max_end = best
 
     def _update_max_up(self, node: Optional[_Node]) -> None:
+        update = self._update_max
         while node is not None:
-            self._update_max(node)
+            update(node)
             node = node.parent
 
     def _fix_insert(self, node: _Node) -> None:
@@ -268,9 +346,63 @@ class RangeLock:
                     node.parent.color = BLACK
                     grand.color = RED
                     self._rotate_left(grand)
+        # Rotations keep max_end exact locally and recoloring does not
+        # touch it, so the walk in _insert already left it correct.
         if self._root is not None:
             self._root.color = BLACK
-        self._update_max_up(node)
+
+    def _fix_remove(self, node: Optional[_Node],
+                    parent: Optional[_Node]) -> None:
+        """Restore the red-black rules after a black node left ``parent``.
+
+        ``node`` (possibly ``None``) carries the extra black; CLRS's
+        sentinel is replaced by tracking its parent explicitly.
+        """
+        while node is not self._root and (node is None
+                                          or node.color is BLACK):
+            if node is parent.left:
+                sibling = parent.right
+                if sibling.color is RED:
+                    sibling.color = BLACK
+                    parent.color = RED
+                    self._rotate_left(parent)
+                    sibling = parent.right
+                if _is_black(sibling.left) and _is_black(sibling.right):
+                    sibling.color = RED
+                    node, parent = parent, parent.parent
+                    continue
+                if _is_black(sibling.right):
+                    sibling.left.color = BLACK
+                    sibling.color = RED
+                    self._rotate_right(sibling)
+                    sibling = parent.right
+                sibling.color = parent.color
+                parent.color = BLACK
+                sibling.right.color = BLACK
+                self._rotate_left(parent)
+            else:
+                sibling = parent.left
+                if sibling.color is RED:
+                    sibling.color = BLACK
+                    parent.color = RED
+                    self._rotate_right(parent)
+                    sibling = parent.left
+                if _is_black(sibling.left) and _is_black(sibling.right):
+                    sibling.color = RED
+                    node, parent = parent, parent.parent
+                    continue
+                if _is_black(sibling.left):
+                    sibling.right.color = BLACK
+                    sibling.color = RED
+                    self._rotate_left(sibling)
+                    sibling = parent.left
+                sibling.color = parent.color
+                parent.color = BLACK
+                sibling.left.color = BLACK
+                self._rotate_right(parent)
+            node = self._root
+        if node is not None:
+            node.color = BLACK
 
     # -- invariants (used by property-based tests) ---------------------------
     def check_invariants(self) -> None:

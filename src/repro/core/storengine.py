@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..sim.engine import Environment
+from ..sim.engine import Environment, raise_on_failure
 from ..hw.lwp import LWP
 from ..hw.power import STORAGE_ACCESS, EnergyAccountant
 from ..flash.backbone import FlashBackbone
@@ -73,7 +73,7 @@ class Storengine:
         self._sleep = None
         self._sleep_start = 0.0
         self._sleep_until = 0.0
-        self._process = env.process(self._run())
+        self._process = raise_on_failure(env.process(self._run()))
 
     # ------------------------------------------------------------------ #
     # Lifecycle                                                           #

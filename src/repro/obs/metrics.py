@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..sim.engine import raise_on_failure
+
 ValueFn = Callable[[], Optional[float]]
 
 
@@ -247,7 +249,7 @@ class MetricsBus:
 
     def install(self, env) -> None:
         """Start the sampler process on ``env`` (first tick immediately)."""
-        env.process(self._sampler(env))
+        raise_on_failure(env.process(self._sampler(env)))
 
     def _sampler(self, env):
         cadence = self.timeline.cadence_s

@@ -11,15 +11,20 @@ two systems and reports completions back to the front-end:
 
 Both expose the same tiny surface the dispatcher relies on:
 ``capacity``, ``in_flight`` and ``dispatch(record, on_complete)``.
+
+Every process a backend starts is wrapped in
+:func:`~repro.sim.engine.raise_on_failure`, so a crash inside a
+request's execution leaves the event loop as the original exception.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 from ..baseline.system import BaselineSystem
 from ..core.accelerator import FlashAbacusAccelerator
 from ..core.kernel import Kernel
+from ..sim.engine import raise_on_failure
 from .request import Request, RequestRecord
 
 KernelFactory = Callable[[Request], Kernel]
@@ -27,7 +32,7 @@ CompletionCallback = Callable[[RequestRecord, float], None]
 
 
 class ServingBackend:
-    """Common bookkeeping: in-flight count and crash surfacing."""
+    """Common bookkeeping: capacity and in-flight count."""
 
     def __init__(self, env, kernel_factory: KernelFactory, capacity: int):
         if capacity < 1:
@@ -37,7 +42,6 @@ class ServingBackend:
         self.capacity = capacity
         self.in_flight = 0
         self.dispatched = 0
-        self._procs: List = []
         # Observability (repro.obs): captured from the environment in
         # start() — sessions attach a tracer before starting the backend
         # — and every span site guards on None.  ``trace_device``
@@ -60,21 +64,6 @@ class ServingBackend:
 
     def finish(self) -> None:
         """Called once after the last completion."""
-
-    def check_health(self) -> None:
-        """Re-raise crashes from backend-owned simulation processes.
-
-        Completed-ok processes are pruned so the scan stays bounded by
-        the in-flight count (this runs after every simulation step).
-        """
-        alive = []
-        for proc in self._procs:
-            if proc.triggered:
-                if not proc.ok:
-                    raise proc.value
-            else:
-                alive.append(proc)
-        self._procs = alive
 
     @property
     def energy_j(self) -> float:
@@ -114,7 +103,7 @@ class AcceleratorBackend(ServingBackend):
         tracer = self._tracer
         if tracer is None:
             # The untraced hot path: identical to pre-observability code.
-            self._procs.append(
+            raise_on_failure(
                 self.env.process(self.accelerator.submit_kernel(kernel)))
             return
         # Kernel spans correlate via kernel.instance (the request id the
@@ -123,7 +112,7 @@ class AcceleratorBackend(ServingBackend):
         tracer.span(self.env.now, "service_begin",
                     record.request.request_id, record.request.tenant,
                     self.trace_device, kernel.instance)
-        self._procs.append(
+        raise_on_failure(
             self.env.process(self._traced_submit(kernel, record, tracer)))
 
     def _traced_submit(self, kernel: Kernel, record: RequestRecord,
@@ -159,13 +148,8 @@ class AcceleratorBackend(ServingBackend):
         # energy.  The drain process runs during the session's
         # quiescence loop.
         self.accelerator.storengine.stop()
-        self._procs.append(
+        raise_on_failure(
             self.env.process(self.accelerator.storengine.drain()))
-
-    def check_health(self) -> None:
-        """Surface crashes from backend processes and the service loop."""
-        super().check_health()
-        self.accelerator.check_service_health()
 
     @property
     def energy_j(self) -> float:
@@ -190,7 +174,7 @@ class BaselineBackend(ServingBackend):
         """Run one request through the serial SSD -> host -> PCIe path."""
         self.in_flight += 1
         self.dispatched += 1
-        self._procs.append(self.env.process(
+        raise_on_failure(self.env.process(
             self._serve(record, on_complete)))
 
     def _serve(self, record: RequestRecord,

@@ -36,6 +36,7 @@ from typing import List, Optional, Tuple, Union
 
 from ..platform.config import PlatformConfig
 from ..policy import policy_is_learned
+from ..sim.engine import raise_on_failure
 from ..sim.fastforward import (
     AnalyticServer,
     FastForwardConfig,
@@ -222,9 +223,8 @@ class FastForwardServingSession(ServingSession):
                                    tenants,
                                    dispatch=scenario.make_dispatch())
         backend.start()
-        env.process(arrival_driver(env, frontend, warm))
+        raise_on_failure(env.process(arrival_driver(env, frontend, warm)))
         drive_until_settled(env, tracker, len(warm), scenario.duration_s,
-                            backend.check_health,
                             label="fast-forward warm-up")
         t_settle = env.now
 
@@ -246,7 +246,6 @@ class FastForwardServingSession(ServingSession):
         backend.finish()
         while env.peek() != float("inf"):
             env.step()
-        backend.check_health()
         t_drained = env.now
         warm_completed = tracker.aggregate.completed
         warm_energy = backend.energy_j

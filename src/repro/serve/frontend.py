@@ -18,7 +18,7 @@ from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence
 
 from ..policy.feedback import FeedbackEvent
-from ..sim.engine import Environment, Event
+from ..sim.engine import Environment, Event, raise_on_failure
 from .admission import AdmissionController
 from .backends import ServingBackend
 from .dispatch import DispatchPolicy, RoundRobinDispatch
@@ -70,7 +70,8 @@ class ServingFrontend:
         # policies, so static runs pay one truthiness check.
         self.feedback_hooks: List = []
         self._wake: Event = env.event()
-        self._dispatcher = env.process(self._dispatch_loop())
+        self._dispatcher = raise_on_failure(
+            env.process(self._dispatch_loop()))
 
     # ------------------------------------------------------------------ #
     # FrontendView protocol (what admission policies may observe)         #

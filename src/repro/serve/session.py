@@ -25,6 +25,7 @@ from ..core.accelerator import FlashAbacusAccelerator
 from ..core.kernel import Kernel
 from ..obs import MetricsBus, ObsConfig, Tracer, wire_serving_metrics
 from ..platform.config import PlatformConfig
+from ..sim.engine import raise_on_failure
 from ..policy import (
     PolicySpec,
     build_policy,
@@ -154,15 +155,17 @@ def assemble_serving_report(scenario: "ServingScenario", system: str,
 
 
 def drive_until_settled(env, tracker: SLOTracker, expected: int,
-                        duration_s: float, check_health,
+                        duration_s: float,
                         label: str = "serving run") -> None:
     """Step ``env`` until ``expected`` requests settled, with a watchdog.
 
     An exhausted event queue can never happen while an accelerator
     backend is up (Storengine polls perpetually until stopped), so
     progress is what is watched — if no request settles for a generous
-    simulated span, the run is wedged.  ``check_health`` runs after
-    every step to surface crashes from backend-owned processes.
+    simulated span, the run is wedged.  Crashes need no polling here:
+    every process whose failure must stop the run is wrapped in
+    :func:`~repro.sim.engine.raise_on_failure`, so its exception leaves
+    ``env.step()``.
     """
     stall_horizon = max(60.0, 10.0 * duration_s)
     last_settled = -1
@@ -182,7 +185,6 @@ def drive_until_settled(env, tracker: SLOTracker, expected: int,
                 f"({tracker.settled}/{expected} settled at "
                 f"t={env.now:.3f}s)")
         env.step()
-        check_health()
 
 #: Default tenant set: two equal-share tenants with the same SLO, so the
 #: multi-tenant path is exercised even by one-line experiments.
@@ -477,9 +479,10 @@ class ServingSession:
             bus.install(env)
         requests = scenario.make_arrivals().generate(scenario.duration_s)
         backend.start()
-        env.process(arrival_driver(env, frontend, requests))
+        raise_on_failure(env.process(arrival_driver(env, frontend,
+                                                    requests)))
         drive_until_settled(env, tracker, len(requests),
-                            scenario.duration_s, backend.check_health)
+                            scenario.duration_s)
         if bus is not None:
             # Final sample at settle time, then retire the sampler
             # (de-scheduling its pending tick) so the drain loop below
@@ -491,7 +494,6 @@ class ServingSession:
         # accelerator) so energy accounting covers every byte served.
         while env.peek() != float("inf"):
             env.step()
-        backend.check_health()
         report = self._assemble_report(backend, tracker)
         if bus is not None:
             self.metrics = bus.timeline

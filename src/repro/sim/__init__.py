@@ -9,6 +9,7 @@ from .engine import (
     Process,
     SimulationError,
     Timeout,
+    raise_on_failure,
 )
 from .fastforward import (
     AnalyticServer,
@@ -36,6 +37,7 @@ __all__ = [
     "Process",
     "SimulationError",
     "Timeout",
+    "raise_on_failure",
     "AnalyticServer",
     "FastForwardConfig",
     "ServiceTimeModel",

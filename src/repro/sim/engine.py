@@ -292,6 +292,26 @@ class Process(Event):
             event = result
 
 
+def _reraise(process: Process) -> None:
+    if not process._ok:
+        raise process._value
+
+
+def raise_on_failure(process: Process) -> Process:
+    """Make a crash of ``process`` propagate out of the event loop.
+
+    A failed process that nothing waits on is otherwise just a failed
+    event: :meth:`Environment.run` keeps the exception on the process.
+    For long-lived or fire-and-forget processes whose failure must stop
+    the run, this appends a callback that re-raises the exception when
+    the process's failure event is processed, so the original exception
+    leaves the ``step``/``run``/``run_events`` call that processes it,
+    at the simulated instant the process died.  Returns ``process``.
+    """
+    process.callbacks.append(_reraise)
+    return process
+
+
 class Condition(Event):
     """Base class for events composed of several sub-events."""
 

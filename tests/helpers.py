@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Dict
 
 from repro.serve.backends import ServingBackend
-from repro.sim.engine import Environment
+from repro.sim.engine import Environment, raise_on_failure
 
 #: Where the checked-in golden report fixtures live.
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -30,7 +30,7 @@ class StubBackend(ServingBackend):
     def dispatch(self, record, on_complete):
         self.in_flight += 1
         self.dispatched += 1
-        self._procs.append(self.env.process(
+        raise_on_failure(self.env.process(
             self._serve(record, on_complete)))
 
     def _serve(self, record, on_complete):

@@ -140,8 +140,46 @@ def test_release_restores_acquirability(ranges):
             acquired.append((start, start + length, mode, owner))
     for start, end, _mode, owner in acquired:
         assert lock.release(start, end, owner)
+        lock.check_invariants()
     assert len(lock) == 0
     # After releasing everything, any single range is acquirable again.
     for start, end, mode, owner in acquired:
         assert lock.try_acquire(start, end, mode, owner) is None
         lock.release(start, end, owner)
+
+
+# Interleaved acquire/release against a brute-force list model: ``True``
+# draws an acquire of a fresh owner, ``False`` releases a held range
+# chosen by the drawn index (a range nobody holds when the model is
+# empty, which must be refused).
+op_strategy = st.tuples(st.booleans(), range_strategy,
+                        st.integers(min_value=0, max_value=1000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(op_strategy, min_size=1, max_size=80))
+def test_interleaved_acquire_release_matches_list_model(ops):
+    lock = RangeLock()
+    model = []
+    for owner, (acquire, (start, length, mode), pick) in enumerate(ops):
+        end = start + length
+        if acquire:
+            blocked = any(r.overlaps(start, end)
+                          and not (r.mode == READ and mode == READ)
+                          for r in model)
+            conflict = lock.try_acquire(start, end, mode, owner)
+            assert (conflict is not None) == blocked
+            if conflict is None:
+                model.append(LockedRange(start, end, mode, owner))
+            else:
+                assert conflict.conflicting in model
+        elif model:
+            held = model.pop(pick % len(model))
+            assert lock.release(held.start, held.end, held.owner)
+        else:
+            assert not lock.release(start, end, owner)
+        lock.check_invariants()
+        assert len(lock) == len(model)
+        assert sorted((r.start, r.end, r.mode, r.owner)
+                      for r in lock.ranges()) == \
+            sorted((r.start, r.end, r.mode, r.owner) for r in model)

@@ -12,7 +12,7 @@ from repro.serve import (
 )
 from repro.policy import build_policy
 from repro.serve.backends import ServingBackend
-from repro.sim import Environment
+from repro.sim import Environment, raise_on_failure
 
 
 class StubBackend(ServingBackend):
@@ -27,7 +27,7 @@ class StubBackend(ServingBackend):
         self.in_flight += 1
         self.dispatched += 1
         self.order.append(record.request.request_id)
-        self._procs.append(self.env.process(
+        raise_on_failure(self.env.process(
             self._serve(record, on_complete)))
 
     def _serve(self, record, on_complete):
