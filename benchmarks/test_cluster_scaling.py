@@ -9,10 +9,13 @@ mid-run device failure reroutes queued traffic without dropping a single
 admitted request.
 """
 
+from dataclasses import replace
+
 from repro.cluster import run_cluster
 from repro.cluster.parallel import ParallelConfig
 from repro.eval import format_scaling_sweep, scaling_sweep
 from repro.platform import ClusterConfig, FaultSpec, PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, TenantSpec
 
 from bench_common import BENCH_ORCHESTRATOR, run_once
@@ -27,7 +30,7 @@ SCENARIO = ServingScenario(
     process="poisson", duration_s=1.5, seed=3,
     tenants=(TenantSpec("tenant-a", 1.0, CLUSTER_SLO_S),
              TenantSpec("tenant-b", 1.0, CLUSTER_SLO_S)),
-    max_queue_depth=24)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 24}))
 
 DEVICE = PlatformConfig(system="IntraO3", input_scale=CLUSTER_INPUT_SCALE)
 
@@ -65,8 +68,7 @@ def test_cluster_failure_drill(benchmark):
     drill = ClusterConfig.homogeneous(
         2, DEVICE, faults=(FaultSpec(0.5, 1, "failed"),))
     report = run_once(benchmark, run_cluster,
-                      SCENARIO.with_overrides(
-                          offered_rps=CLUSTER_OFFERED_RPS),
+                      replace(SCENARIO, offered_rps=CLUSTER_OFFERED_RPS),
                       drill)
     # The failed device's backlog was rerouted, and every admitted
     # request still completed (fail-stop with drain: in-flight work

@@ -19,6 +19,7 @@ serving numbers as a workflow artifact):
 
 import argparse
 import json
+from dataclasses import replace
 
 from repro import PlatformConfig
 from repro.eval import (
@@ -27,6 +28,7 @@ from repro.eval import (
     format_saturation_sweep,
     saturation_sweep,
 )
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, TenantSpec, run_serving
 
 # Scale the Table-2 data sets down so the example finishes in seconds;
@@ -65,15 +67,16 @@ def main() -> None:
     show_report("Poisson @ 120 rps on InterDy",
                 run_serving(steady, config=config))
 
-    bursty = steady.with_overrides(process="mmpp", offered_rps=60.0,
-                                   mmpp_burst_factor=6.0,
-                                   mmpp_burst_dwell_s=0.3)
+    bursty = replace(steady, process="mmpp", offered_rps=60.0,
+                     mmpp_burst_factor=6.0, mmpp_burst_dwell_s=0.3)
     show_report("MMPP (bursty) @ 60 rps base on InterDy",
                 run_serving(bursty, config=config))
 
     print("\n== Saturation sweep ==")
     orchestrator = ExperimentOrchestrator(workers=4)
-    sweep_scenario = steady.with_overrides(duration_s=1.5, max_queue_depth=24)
+    sweep_scenario = replace(
+        steady, duration_s=1.5,
+        admission=PolicySpec("queue_depth", {"max_tenant_depth": 24}))
     curves = saturation_sweep(
         SWEEP_RATES, SWEEP_SYSTEMS, scenario=sweep_scenario,
         config=PlatformConfig(input_scale=INPUT_SCALE),

@@ -67,7 +67,7 @@ class ClusterDispatcher:
         device_count = (cluster.effective_max_devices if cluster.elastic
                         else len(shards))
         self.policy = policy if policy is not None else build_policy(
-            "placement", cluster.placement_policy_spec(),
+            "placement", cluster.placement,
             device_count=device_count, salt=cluster.affinity_salt,
             seed=seed)
         self.cluster_rejected = 0    # arrivals with no routable device

@@ -169,7 +169,7 @@ def build_epoch_schedule(scenario: ServingScenario, cluster: ClusterConfig,
     boundaries = set(fault_times)
     boundaries.add(horizon)
     widen = parallel.adaptive and not placement_snapshot_dependent(
-        cluster.placement_policy_spec())
+        cluster.placement)
     if not widen:
         steps = max(1, math.ceil(horizon / parallel.epoch_s))
         boundaries.update((step + 1) * parallel.epoch_s
@@ -591,10 +591,10 @@ class ParallelClusterSession:
                 "clusters (autoscaler_spec set); use ClusterSession")
         learned = [
             f"{domain} {spec.name!r}" for domain, spec in (
-                ("admission", scenario.effective_admission_spec()),
-                ("dispatch", scenario.dispatch_spec),
-                ("placement", cluster.placement_policy_spec()))
-            if spec is not None and policy_is_learned(domain, spec)]
+                ("admission", scenario.admission),
+                ("dispatch", scenario.dispatch),
+                ("placement", cluster.placement))
+            if policy_is_learned(domain, spec)]
         if learned:
             # Learned policies accumulate state from the completion
             # feedback stream; per-worker copies of that state would
@@ -822,7 +822,7 @@ class _Coordinator:
         # (device count, affinity salt, scenario seed), so stateful
         # cursors (round-robin) follow the same sequence.
         self.policy = build_policy(
-            "placement", cluster.placement_policy_spec(),
+            "placement", cluster.placement,
             device_count=cluster.device_count,
             salt=cluster.affinity_salt, seed=scenario.seed)
         #: One view per device, in device order (index == position).

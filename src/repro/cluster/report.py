@@ -217,7 +217,7 @@ def assemble_cluster_report(scenario: ServingScenario, router: Any,
     return ClusterReport(
         system=router.cluster.label,
         workload=scenario.label,
-        placement=router.cluster.placement,
+        placement=router.cluster.placement.name,
         device_count=len(shards),
         duration_s=duration,
         makespan_s=makespan_s,

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from ..sim.engine import Environment, Event, raise_on_failure
+from ..sim.engine import Environment, Event, Process, raise_on_failure
 from ..sim.stats import SummaryStats, TimeSeries
 from ..hw.lwp import LWP
 from ..hw.power import (
@@ -211,6 +211,9 @@ class FlashAbacusAccelerator:
             num_workers=len(self.cluster.workers))
         self._kernel_regions: Dict[int, Dict[str, int]] = {}
         self._wake: Event = self.env.event()
+        # The batch processes of run_workload, for _check_batch_wedge.
+        self._batch_offload: Optional[Process] = None
+        self._batch_workers: List[Process] = []
         self.screens_executed = 0
         # Online-serving support (repro.serve): while serving, workers park
         # on the wake event instead of exiting when the scheduler is
@@ -231,14 +234,18 @@ class FlashAbacusAccelerator:
         """Offload ``kernels``, run them to completion, return the report."""
         if not kernels:
             raise ValueError("run_workload needs at least one kernel")
-        raise_on_failure(
+        self._batch_offload = raise_on_failure(
             self.env.process(self._host_offload(list(kernels))))
-        for idx, lwp in enumerate(self.cluster.workers):
+        self._batch_workers = [
             raise_on_failure(self.env.process(self._worker_loop(idx, lwp)))
+            for idx, lwp in enumerate(self.cluster.workers)]
+        for process in (self._batch_offload, *self._batch_workers):
+            process.callbacks.append(self._check_batch_wedge)
         # Step the simulation until every offloaded kernel has completed
-        # (a crashed worker raises out of step()).  Storengine is a
-        # perpetual background process, so draining the whole event
-        # queue would never terminate.
+        # (a crashed worker raises out of step(), and so does a wedged
+        # batch, see _check_batch_wedge).  Storengine is a perpetual
+        # background process, so draining the whole event queue would
+        # never terminate.
         while not self.scheduler.done:
             if self.env.peek() == float("inf"):
                 raise RuntimeError(
@@ -366,12 +373,35 @@ class FlashAbacusAccelerator:
         self.scheduler.offload(kernels, now=self.env.now)
         self._wake_workers()
 
+    def _check_batch_wedge(self, _event=None, parking: int = 0) -> None:
+        """Raise if the batch run in :meth:`run_workload` can never finish.
+
+        Wedged means: the offload process has finished, every worker
+        has exited or is parked on the wake event, and the scheduler is
+        not done.  Only a running worker or the offload wakes a parked
+        worker, so nothing could make progress, while Storengine's
+        polling would keep the event loop stepping forever.  Checked
+        when a batch process exits and when a worker parks (``parking``
+        counts the worker about to park), so the step loop pays nothing.
+        """
+        offload = self._batch_offload
+        if offload is None or not offload.triggered or self.scheduler.done:
+            return
+        live = sum(1 for worker in self._batch_workers if worker.is_alive)
+        if len(self._wake.callbacks) + parking >= live:
+            raise RuntimeError(
+                f"batch run wedged at t={self.env.now:.6f}s: no worker can "
+                f"take work, but not all {self.scheduler.offloaded_count} "
+                f"offloaded kernels have completed")
+
     def _worker_loop(self, worker_index: int, lwp: LWP):
         while True:
             item = self.scheduler.next_work(worker_index)
             if item is None:
-                if self.scheduler.done and not self._serving:
-                    return
+                if not self._serving:
+                    if self.scheduler.done:
+                        return
+                    self._check_batch_wedge(parking=1)
                 yield self._wake
                 continue
             if self.scheduler.dispatch_overhead_s > 0:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import List, Optional, Sequence
 
@@ -68,15 +68,10 @@ class ClusterExperimentSpec:
         payload = {"scenario": self.scenario.to_dict(),
                    "cluster": self.cluster.config_hash(),
                    "revision": CACHE_REVISION}
-        # Folded in only when the parallel runner executes the spec, so
-        # serial specs keep their keys byte-identical.  behavior_rev
-        # re-keys parallel entries whenever the epoch runner's results
-        # change (rev 2: fault-time boundaries + exact-instant backlog
-        # adoption; rev 3: a fault at t=0 applies before the first
-        # epoch routes).
+        # Folded in only when the parallel runner executes the spec: a
+        # spec that falls back to the serial session is a serial run.
         if self._runs_parallel():
-            payload["parallel"] = dict(self.parallel.to_dict(),
-                                       behavior_rev=3)
+            payload["parallel"] = self.parallel.to_dict()
         if self.obs is not None:
             payload["obs"] = self.obs.to_dict()
         canonical = json.dumps(payload, sort_keys=True,
@@ -100,14 +95,9 @@ class ClusterExperimentSpec:
 
     def _uses_learned_policy(self) -> bool:
         """Whether any domain of this run selects a learned policy."""
-        scenario = self.scenario
-        return (policy_is_learned("admission",
-                                  scenario.effective_admission_spec())
-                or (scenario.dispatch_spec is not None
-                    and policy_is_learned("dispatch",
-                                          scenario.dispatch_spec))
-                or policy_is_learned("placement",
-                                     self.cluster.placement_policy_spec()))
+        return (policy_is_learned("admission", self.scenario.admission)
+                or policy_is_learned("dispatch", self.scenario.dispatch)
+                or policy_is_learned("placement", self.cluster.placement))
 
     def execute(self) -> ClusterReport:
         """Run this cluster experiment in-process (fresh Environment)."""
@@ -174,7 +164,7 @@ def scaling_specs(device_counts: Sequence[int],
     makespan and energy).
     """
     base_scenario = scenario if scenario is not None else ServingScenario()
-    base_scenario = base_scenario.with_overrides(offered_rps=offered_rps)
+    base_scenario = replace(base_scenario, offered_rps=offered_rps)
     device = device_config if device_config is not None else PlatformConfig()
     return [ClusterExperimentSpec(
                 scenario=base_scenario,

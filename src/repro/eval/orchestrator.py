@@ -55,8 +55,9 @@ PARALLEL_ENV = "REPRO_PARALLEL"
 #: Salted into every cache key.  Bump whenever simulator behavior changes
 #: (event ordering, timing models, energy accounting, report fields), so
 #: persistent caches written by older code are invalidated instead of
-#: silently serving stale results.
-CACHE_REVISION = 1
+#: silently serving stale results.  It is the only re-keying mechanism:
+#: no config keeps an older serialized form alive.
+CACHE_REVISION = 2
 
 _WORKLOAD_KINDS = ("homogeneous", "heterogeneous", "realworld")
 

@@ -17,7 +17,7 @@ exactly like parameterless ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..cluster.report import ClusterReport
@@ -132,8 +132,7 @@ def _coerce_axis(axis: Sequence[Any], domain: str) -> List[PolicySpec]:
     # resolved_policy_spec materializes constructor defaults into learned
     # specs (warm-up, exploration, retrain cadence are behavior), so a
     # learned cell's cache key can never alias a result computed under a
-    # since-retuned default; static specs pass through untouched and keep
-    # every pre-existing cache key byte-identical.
+    # since-retuned default; static specs pass through untouched.
     specs = [resolved_policy_spec(domain, entry) for entry in axis]
     if not specs:
         raise ValueError(f"the {domain} axis of a policy grid needs at "
@@ -154,11 +153,10 @@ def policy_grid_specs(
     """Expand the axes into one cluster experiment per combination.
 
     Cells iterate in cross-product order (scheduler outermost, placement
-    innermost).  Parameterless scheduler/placement selections are folded
-    into the legacy string knobs (``system`` / ``placement``), so those
-    parts of each cell's config serialize pre-policy-layer; the scenario
-    always carries explicit ``admission_spec``/``dispatch_spec`` because
-    the grid overrides both axes per cell.
+    innermost).  Each cell sets every device's ``scheduler_policy``, the
+    scenario's ``admission`` and ``dispatch`` and the cluster's
+    ``placement`` to its axis specs, so a bare ``"queue_depth"`` cell runs
+    the policy's default depth whatever the base scenario's admission.
 
     ``devices`` builds each cell's fleet from an explicit per-device
     config list instead of ``device_count`` copies of ``device_config`` —
@@ -184,32 +182,15 @@ def policy_grid_specs(
     base_scenario = scenario if scenario is not None else ServingScenario()
     grid: List[Tuple[PolicyCombo, ClusterExperimentSpec]] = []
     for sched in _coerce_axis(schedulers, "scheduler"):
-        if sched.params:
-            cell_devices = tuple(
-                device.with_overrides(scheduler_policy=sched)
-                for device in base_devices)
-        else:
-            cell_devices = tuple(device.with_system(sched.name)
-                                 for device in base_devices)
+        cell_devices = tuple(replace(device, scheduler_policy=sched)
+                             for device in base_devices)
         for adm in _coerce_axis(admissions, "admission"):
             for disp in _coerce_axis(dispatches, "dispatch"):
-                if adm.name == "queue_depth" and not adm.params:
-                    # Bare "queue_depth" falls back to the legacy string
-                    # knob so the base scenario's max_queue_depth keeps
-                    # applying, exactly as it does outside the grid.
-                    cell_scenario = base_scenario.with_overrides(
-                        admission="queue_depth", admission_spec=None,
-                        dispatch_spec=disp)
-                else:
-                    cell_scenario = base_scenario.with_overrides(
-                        admission_spec=adm, dispatch_spec=disp)
+                cell_scenario = replace(base_scenario, admission=adm,
+                                        dispatch=disp)
                 for place in _coerce_axis(placements, "placement"):
-                    if place.params:
-                        cluster = ClusterConfig(
-                            devices=cell_devices, placement_spec=place)
-                    else:
-                        cluster = ClusterConfig(
-                            devices=cell_devices, placement=place.name)
+                    cluster = ClusterConfig(devices=cell_devices,
+                                            placement=place)
                     combo = PolicyCombo(scheduler=sched, admission=adm,
                                         dispatch=disp, placement=place)
                     grid.append((combo, ClusterExperimentSpec(

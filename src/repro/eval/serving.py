@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
@@ -74,8 +74,6 @@ class ServingExperimentSpec:
             "config": self.config.config_hash(),
             "revision": CACHE_REVISION,
         }
-        # Folded in only when set, so pre-fast-forward specs keep their
-        # cache keys byte-identical.
         if self.fastforward is not None:
             payload["fastforward"] = self.fastforward.to_dict()
         if self.obs is not None:
@@ -153,8 +151,7 @@ def sweep_specs(rates: Sequence[float],
     base_scenario = scenario if scenario is not None else ServingScenario()
     base_config = config if config is not None else PlatformConfig()
     return {system: [ServingExperimentSpec(
-                        scenario=base_scenario.with_overrides(
-                            offered_rps=rate),
+                        scenario=replace(base_scenario, offered_rps=rate),
                         config=base_config.with_system(system))
                      for rate in rates]
             for system in systems}

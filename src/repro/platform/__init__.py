@@ -28,7 +28,6 @@ from .config import (
 )
 from .cluster import (
     HEALTH_STATES,
-    PLACEMENT_POLICIES,
     ClusterConfig,
     FaultSpec,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "spec_from_dict",
     "spec_to_dict",
     "HEALTH_STATES",
-    "PLACEMENT_POLICIES",
     "ClusterConfig",
     "FaultSpec",
     "HardwareSubstrate",

@@ -17,17 +17,8 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..policy import PolicySpec, policy_names
+from ..policy import PolicySpec, checked_policy_spec
 from .config import PlatformConfig
-
-#: The original placement policies (implemented and registered in
-#: :mod:`repro.cluster.placement`).  Kept as the static fast path for
-#: validation — checking it first avoids importing the registry's
-#: built-ins for the common names; the authoritative set is the
-#: registry's ``placement`` domain, which also carries additions like
-#: ``join_shortest_queue``.
-PLACEMENT_POLICIES: Tuple[str, ...] = (
-    "round_robin", "least_outstanding", "tenant_affinity", "power_aware")
 
 #: Device health states a :class:`FaultSpec` may switch a device to.
 HEALTH_STATES: Tuple[str, ...] = ("healthy", "degraded", "failed")
@@ -72,7 +63,7 @@ class ClusterConfig:
 
     Frozen like :class:`PlatformConfig`: cluster configs act as cache
     identities via :meth:`config_hash`, so evolution goes through copies
-    (:meth:`with_overrides` / :meth:`scaled_to`).
+    (``dataclasses.replace`` / :meth:`scaled_to`).
 
     Attributes
     ----------
@@ -81,7 +72,9 @@ class ClusterConfig:
         products of :class:`~repro.platform.PlatformBuilder`; mixing
         schedulers (or even SIMD boards) in one fleet is allowed.
     placement:
-        Routing policy name from :data:`PLACEMENT_POLICIES`.
+        :class:`~repro.policy.PolicySpec` of the routing policy, from the
+        registry's ``placement`` domain; a bare name or a
+        ``{"name": ..., "params": ...}`` dict is accepted too.
     affinity_salt:
         Salt mixed into the tenant-affinity hash so two fleets can map the
         same tenants to different devices.
@@ -91,23 +84,16 @@ class ClusterConfig:
     faults:
         Health timeline applied during the run, time-ordered by the
         session.
-    placement_spec:
-        Optional :class:`~repro.policy.PolicySpec` parameterizing the
-        placement policy (``None`` = the parameterless policy named by
-        ``placement``, which serializes and hashes exactly as before the
-        policy layer existed).  When set, its name *is* the placement:
-        the ``placement`` field is synced to it.
     autoscaler_spec:
         Optional :class:`~repro.policy.PolicySpec` naming an
         ``autoscaler`` policy.  ``None`` (the default) means a static
-        fleet — and, like ``placement_spec``, the field plus every
-        elastic knob below is omitted from serialization when unset so
-        legacy config hashes stay byte-identical.
+        fleet, which takes none of the elastic knobs below.
     min_devices / max_devices:
         Fleet-size bounds the autoscaler is clamped to.  ``None`` means
-        1 and ``len(devices)`` respectively; ``devices`` itself is the
-        *initially provisioned* fleet, and scale-up past it clones the
-        first device's config (the device template).
+        1 and ``len(devices)`` respectively (an elastic fleet stores
+        those values, so both spellings are one config).  ``devices``
+        itself is the *initially provisioned* fleet, and scale-up past
+        it clones the first device's config (the device template).
     warmup_s:
         How long a freshly provisioned device is held out of placement
         (it burns energy and device-seconds while warming — the cost of
@@ -117,11 +103,10 @@ class ClusterConfig:
     """
 
     devices: Tuple[PlatformConfig, ...]
-    placement: str = "round_robin"
+    placement: PolicySpec = PolicySpec("round_robin")
     affinity_salt: int = 0
     degraded_capacity_factor: float = 0.5
     faults: Tuple[FaultSpec, ...] = ()
-    placement_spec: Optional[PolicySpec] = None
     autoscaler_spec: Optional[PolicySpec] = None
     min_devices: Optional[int] = None
     max_devices: Optional[int] = None
@@ -131,17 +116,8 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if not self.devices:
             raise ValueError("a cluster needs at least one device")
-        if self.placement_spec is not None:
-            spec = PolicySpec.coerce(self.placement_spec)
-            object.__setattr__(self, "placement_spec", spec)
-            # The spec names the policy; the placement field mirrors it
-            # so reports and legacy readers agree.
-            object.__setattr__(self, "placement", spec.name)
-        if self.placement not in PLACEMENT_POLICIES \
-                and self.placement not in policy_names("placement"):
-            raise ValueError(
-                f"unknown placement {self.placement!r}; choose from "
-                f"{policy_names('placement')}")
+        object.__setattr__(self, "placement",
+                           checked_policy_spec("placement", self.placement))
         if not 0.0 < self.degraded_capacity_factor <= 1.0:
             raise ValueError(
                 "degraded_capacity_factor must be in (0, 1]")
@@ -159,18 +135,18 @@ class ClusterConfig:
                     f"timeline order — merge or re-time the entries")
             seen_faults.add(key)
         if self.autoscaler_spec is not None:
-            spec = PolicySpec.coerce(self.autoscaler_spec)
-            object.__setattr__(self, "autoscaler_spec", spec)
-            if spec.name not in policy_names("autoscaler"):
-                raise ValueError(
-                    f"unknown autoscaler {spec.name!r}; choose from "
-                    f"{policy_names('autoscaler')}")
-            if self.min_devices is not None and self.min_devices < 1:
+            object.__setattr__(self, "autoscaler_spec", checked_policy_spec(
+                "autoscaler", self.autoscaler_spec))
+            object.__setattr__(self, "min_devices",
+                               self.effective_min_devices)
+            object.__setattr__(self, "max_devices",
+                               self.effective_max_devices)
+            if self.min_devices < 1:
                 raise ValueError("min_devices must be >= 1")
-            if self.effective_min_devices > len(self.devices):
+            if self.min_devices > len(self.devices):
                 raise ValueError(
                     "min_devices exceeds the initially provisioned fleet")
-            if self.effective_max_devices < len(self.devices):
+            if self.max_devices < len(self.devices):
                 raise ValueError(
                     "max_devices is below the initially provisioned fleet")
             if self.warmup_s < 0:
@@ -209,30 +185,6 @@ class ClusterConfig:
                 self.devices[0] for _ in range(count - len(self.devices)))
         faults = tuple(f for f in self.faults if f.device < count)
         return replace(self, devices=devices, faults=faults)
-
-    def with_overrides(self, **kwargs: Any) -> "ClusterConfig":
-        """Copy of this cluster with ``kwargs`` fields replaced.
-
-        Overriding ``placement`` by name clears a ``placement_spec``
-        naming a different policy (its params belong to the old one);
-        without clearing, the sync in ``__post_init__`` would override
-        the requested placement.
-        """
-        if "placement" in kwargs and "placement_spec" not in kwargs \
-                and self.placement_spec is not None \
-                and self.placement_spec.name != kwargs["placement"]:
-            kwargs["placement_spec"] = None
-        return replace(self, **kwargs)
-
-    def placement_policy_spec(self) -> PolicySpec:
-        """The policy spec the cluster dispatcher routes with.
-
-        ``placement_spec`` when set, else the parameterless spec named by
-        ``placement`` — a single resolution path for the dispatcher.
-        """
-        if self.placement_spec is not None:
-            return self.placement_spec
-        return PolicySpec(self.placement)
 
     def ordered_faults(self) -> List[Tuple[int, FaultSpec]]:
         """The fault timeline in replay order, as ``(ordinal, fault)``.
@@ -291,51 +243,37 @@ class ClusterConfig:
     # Serialization                                                        #
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
-        data = {
+        return {
             "devices": [config.to_dict() for config in self.devices],
-            "placement": self.placement,
+            "placement": self.placement.to_dict(),
             "affinity_salt": self.affinity_salt,
             "degraded_capacity_factor": self.degraded_capacity_factor,
             "faults": [fault.to_list() for fault in self.faults],
+            "autoscaler_spec": (self.autoscaler_spec.to_dict()
+                                if self.autoscaler_spec is not None
+                                else None),
+            "min_devices": self.min_devices,
+            "max_devices": self.max_devices,
+            "warmup_s": self.warmup_s,
+            "autoscale_interval_s": self.autoscale_interval_s,
         }
-        # Emitted only when set, so pre-policy-layer configs keep their
-        # serialized form (and cache keys) byte-identical.
-        if self.placement_spec is not None:
-            data["placement_spec"] = self.placement_spec.to_dict()
-        if self.autoscaler_spec is not None:
-            data["autoscaler_spec"] = self.autoscaler_spec.to_dict()
-            data["min_devices"] = self.effective_min_devices
-            data["max_devices"] = self.effective_max_devices
-            data["warmup_s"] = self.warmup_s
-            data["autoscale_interval_s"] = self.autoscale_interval_s
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ClusterConfig":
-        spec = data.get("placement_spec")
-        autoscaler = data.get("autoscaler_spec")
-        elastic: Dict[str, Any] = {}
-        if autoscaler is not None:
-            elastic = {
-                "autoscaler_spec": PolicySpec.from_dict(autoscaler),
-                "min_devices": data.get("min_devices"),
-                "max_devices": data.get("max_devices"),
-                "warmup_s": float(data.get("warmup_s", 0.0)),
-                "autoscale_interval_s": float(
-                    data.get("autoscale_interval_s", 1.0)),
-            }
         return cls(
             devices=tuple(PlatformConfig.from_dict(d)
                           for d in data.get("devices", [])),
-            placement=str(data.get("placement", "round_robin")),
+            placement=data.get("placement", "round_robin"),
             affinity_salt=int(data.get("affinity_salt", 0)),
             degraded_capacity_factor=float(
                 data.get("degraded_capacity_factor", 0.5)),
             faults=tuple(FaultSpec.from_list(f)
                          for f in data.get("faults", [])),
-            placement_spec=(PolicySpec.from_dict(spec)
-                            if spec is not None else None),
-            **elastic,
+            autoscaler_spec=data.get("autoscaler_spec"),
+            min_devices=data.get("min_devices"),
+            max_devices=data.get("max_devices"),
+            warmup_s=float(data.get("warmup_s", 0.0)),
+            autoscale_interval_s=float(data.get("autoscale_interval_s", 1.0)),
         )
 
     def config_hash(self) -> str:

@@ -29,7 +29,7 @@ from ..hw.spec import (
     SSDSpec,
     prototype_spec,
 )
-from ..policy import PolicySpec, policy_names
+from ..policy import PolicySpec, checked_policy_spec, policy_names
 
 #: The conventional baseline system of the paper (Section 5).
 BASELINE_SYSTEM = "SIMD"
@@ -104,10 +104,11 @@ class PlatformConfig:
     scheduler_policy:
         Optional :class:`~repro.policy.PolicySpec` parameterizing the
         device scheduler (``None`` = the parameterless scheduler named by
-        ``system``, which serializes and hashes exactly as before the
-        policy layer existed).  When set, its name *is* the system: the
-        ``system`` field is synced to it, and :meth:`with_system` clears
-        a stale spec when retargeting.
+        ``system``).  When set, its name *is* the system: the ``system``
+        field is synced to it, and :meth:`with_system` clears a stale
+        spec when retargeting.  A spec without params says no more than
+        ``system`` and is stored as ``None``, so both spellings are one
+        config.
     """
 
     system: str = "IntraO3"
@@ -123,23 +124,17 @@ class PlatformConfig:
         if not 0 < self.input_scale < inf:
             raise ValueError(f"input_scale must be positive and finite, "
                              f"got {self.input_scale!r}")
+        if self.scheduler_policy is not None:
+            policy = checked_policy_spec("scheduler", self.scheduler_policy)
+            # The spec names the scheduler; the system field mirrors it so
+            # reports, sweeps and registry keys all agree.
+            object.__setattr__(self, "system", policy.name)
+            object.__setattr__(self, "scheduler_policy",
+                               policy if policy.params else None)
         # The paper's four schedulers are checked statically so the common
         # path never touches the registry; the policy_names() fallback is
         # what lets a config name any *additionally* registered scheduler
         # (the registry imports its built-ins lazily on first lookup).
-        if self.scheduler_policy is not None:
-            policy = PolicySpec.coerce(self.scheduler_policy)
-            if policy.name == BASELINE_SYSTEM or (
-                    policy.name not in FLASHABACUS_SCHEDULERS
-                    and policy.name not in policy_names("scheduler")):
-                raise ValueError(
-                    f"scheduler_policy must name a registered scheduler, "
-                    f"got {policy.name!r}; choose from "
-                    f"{policy_names('scheduler')}")
-            object.__setattr__(self, "scheduler_policy", policy)
-            # The spec names the scheduler; the system field mirrors it so
-            # reports, sweeps and registry keys all agree.
-            object.__setattr__(self, "system", policy.name)
         if self.system != BASELINE_SYSTEM \
                 and self.system not in FLASHABACUS_SCHEDULERS \
                 and self.system not in policy_names("scheduler"):
@@ -248,7 +243,7 @@ class PlatformConfig:
     # Serialization                                                        #
     # ------------------------------------------------------------------ #
     def to_dict(self) -> Dict[str, Any]:
-        data = {
+        return {
             "system": self.system,
             "spec": spec_to_dict(self.spec),
             "lwp_count": self.lwp_count,
@@ -256,17 +251,13 @@ class PlatformConfig:
             "input_scale": self.input_scale,
             "track_power_series": self.track_power_series,
             "features": dict(self.features),
+            "scheduler_policy": (self.scheduler_policy.to_dict()
+                                 if self.scheduler_policy is not None
+                                 else None),
         }
-        # Emitted only when set: configs that never touch the policy
-        # layer serialize (and therefore hash / cache-key) byte-identical
-        # to the pre-policy-layer format.
-        if self.scheduler_policy is not None:
-            data["scheduler_policy"] = self.scheduler_policy.to_dict()
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "PlatformConfig":
-        policy = data.get("scheduler_policy")
         return cls(
             system=data.get("system", "IntraO3"),
             spec=spec_from_dict(data.get("spec", {})),
@@ -275,8 +266,7 @@ class PlatformConfig:
             input_scale=data.get("input_scale", 1.0),
             track_power_series=data.get("track_power_series", False),
             features=dict(data.get("features", {})),
-            scheduler_policy=(PolicySpec.from_dict(policy)
-                              if policy is not None else None),
+            scheduler_policy=data.get("scheduler_policy"),
         )
 
     def config_hash(self) -> str:

@@ -15,6 +15,7 @@ from .registry import (
     DOMAIN_MODULES,
     POLICY_DOMAINS,
     build_policy,
+    checked_policy_spec,
     ensure_domain_loaded,
     policy_class,
     policy_is_learned,
@@ -43,6 +44,7 @@ __all__ = [
     "FeedbackHook",
     "PolicySpec",
     "build_policy",
+    "checked_policy_spec",
     "ensure_domain_loaded",
     "learned_snapshot",
     "policy_class",

@@ -52,8 +52,9 @@ DOMAIN_MODULES: Dict[str, Tuple[str, ...]] = {
     "autoscaler": ("repro.cluster.autoscale",),
 }
 
-#: Alternate spellings accepted by lookups, kept for the legacy string
-#: knobs (``ServingScenario(admission="always")`` predates the registry).
+#: Alternate spellings accepted by lookups (``admission="always"``
+#: predates the registry); :func:`checked_policy_spec` maps them to the
+#: registered name.
 DOMAIN_ALIASES: Dict[str, Dict[str, str]] = {
     "admission": {"always": "none"},
 }
@@ -131,6 +132,19 @@ def policy_class(domain: str, name: str) -> Type[Any]:
             f"choose from {sorted(_REGISTRY[domain])}") from None
 
 
+def checked_policy_spec(domain: str, value: Any) -> PolicySpec:
+    """``value`` as a spec naming a policy registered under ``domain``.
+
+    Accepts the three :meth:`PolicySpec.coerce` spellings and raises
+    :class:`ValueError` on an unknown name, so a config field holding a
+    policy fails at construction.  An alias is replaced by the name it
+    stands for: one policy selection, one config identity.
+    """
+    spec = PolicySpec.coerce(value)
+    name = policy_class(domain, spec.name).policy_name
+    return spec if name == spec.name else PolicySpec(name, spec.params)
+
+
 def policy_param_names(domain: str, name: str) -> List[str]:
     """Sorted constructor parameter names of one registered policy."""
     accepted, _ = _constructor_params(policy_class(domain, name))
@@ -201,10 +215,10 @@ def policy_is_learned(domain: str, spec: Any) -> bool:
 def resolved_policy_spec(domain: str, spec: Any) -> PolicySpec:
     """``spec`` with cache-relevant defaults materialized for learned cells.
 
-    Static policies pass through untouched, so every pre-existing
-    serialized form — and every cache key derived from it — stays
-    byte-identical.  For the learned species (``learned = True`` on the
-    class) the constructor defaults *are* behavior (warm-up length,
+    Static policies pass through untouched: their defaults live in the
+    constructor, and a retuned static default is a behaviour change
+    that bumps ``CACHE_REVISION``.  For the learned species
+    (``learned = True`` on the class) the constructor defaults *are* behavior (warm-up length,
     exploration schedule, retrain cadence), so a bare spec is resolved to
     carry every defaulted constructor param explicitly: a retuned default
     can then never alias a result cached under the old default.  Params

@@ -173,22 +173,19 @@ class FastForwardServingSession(ServingSession):
         if scenario.process != "poisson":
             return (f"arrival process {scenario.process!r} is not "
                     f"stationary (only 'poisson' engages)")
-        admission_spec = scenario.effective_admission_spec()
-        if policy_is_learned("admission", admission_spec):
+        if policy_is_learned("admission", scenario.admission):
             # A learned controller's decisions depend on the feedback
             # stream; the analytic cruise delivers none, so its dynamic
             # behavior would silently freeze — always run exactly.
-            return (f"learned admission policy {admission_spec.name!r} "
+            return (f"learned admission policy {scenario.admission.name!r} "
                     f"adapts online (exact engine required)")
-        if scenario.dispatch_spec is not None \
-                and policy_is_learned("dispatch", scenario.dispatch_spec):
+        if policy_is_learned("dispatch", scenario.dispatch):
             return (f"learned dispatch policy "
-                    f"{scenario.dispatch_spec.name!r} adapts online "
+                    f"{scenario.dispatch.name!r} adapts online "
                     f"(exact engine required)")
-        if scenario.dispatch_spec is not None \
-                and scenario.dispatch_spec.name != "round_robin":
+        if scenario.dispatch.name != "round_robin":
             return (f"non-default dispatch policy "
-                    f"{scenario.dispatch_spec.name!r}")
+                    f"{scenario.dispatch.name!r}")
         if self.fastforward.warmup_s >= scenario.duration_s:
             return "warm-up window covers the entire run"
         return None

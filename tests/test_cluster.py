@@ -8,6 +8,7 @@ accelerator devices.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -45,7 +46,7 @@ def test_cluster_config_roundtrip_and_hash():
     assert rebuilt == config
     assert rebuilt.config_hash() == config.config_hash()
     # Any knob change re-keys the config.
-    assert config.with_overrides(placement="round_robin").config_hash() \
+    assert replace(config, placement="round_robin").config_hash() \
         != config.config_hash()
     assert config.label == "cluster-3xInterDy"
 
@@ -306,7 +307,7 @@ def test_failed_device_drains_own_backlog_when_no_peer_remains():
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=120.0, duration_s=0.5, seed=5,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=16)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 16}))
 
 DEVICE = PlatformConfig(system="IntraO3", input_scale=0.01)
 
@@ -332,7 +333,7 @@ def test_run_cluster_mid_run_failure_keeps_admitted_requests():
     cluster = ClusterConfig.homogeneous(
         2, DEVICE, faults=(FaultSpec(0.15, 0, "failed"),))
     report = run_cluster(
-        SCENARIO.with_overrides(offered_rps=480.0), cluster)
+        replace(SCENARIO, offered_rps=480.0), cluster)
     assert report.admitted == report.completed
     assert report.reroutes > 0
     assert report.health_events == [[0.15, 0, "failed"]]

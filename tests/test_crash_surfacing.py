@@ -13,8 +13,12 @@ report.  Two groups:
   fault drivers, Storengine, the autoscaler, the metrics sampler, the
   parallel runner's epoch feeders).
 
-The stall watchdog of ``drive_until_settled`` is covered at the end.
+The stall watchdog of ``drive_until_settled`` and the batch run's wedge
+check are covered at the end.
 """
+
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -23,13 +27,14 @@ from repro.cluster import ParallelConfig, run_cluster, run_cluster_parallel
 from repro.cluster.autoscale import AutoscaleController
 from repro.cluster.dispatcher import ClusterDispatcher
 from repro.cluster.health import DeviceShard
+from repro.core.accelerator import FlashAbacusAccelerator
 from repro.core.flashvisor import Flashvisor
 from repro.core.offload import OffloadController
 from repro.core.storengine import Storengine
 from repro.eval.runner import run_system
 from repro.obs import MetricsBus, ObsConfig
 from repro.platform import ClusterConfig, FaultSpec, PlatformConfig
-from repro.policy import PolicySpec, build_policy
+from repro.policy import PolicySpec, build_policy, policy_class
 from repro.serve import Request, ServingScenario, TenantSpec, run_serving
 from repro.serve import session as serve_session
 from repro.serve.frontend import ServingFrontend
@@ -37,18 +42,18 @@ from repro.serve.session import drive_until_settled
 from repro.serve.slo import SLOTracker
 from repro.sim.engine import Environment
 from repro.workloads.mixes import heterogeneous_workload
+from repro.workloads.polybench import homogeneous_workload
 
 from helpers import StubBackend
 
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=80.0, duration_s=0.4, seed=11,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=16)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 16}))
 CONFIG = PlatformConfig(input_scale=0.01)
 BUSY = ServingScenario(
     process="poisson", offered_rps=1000.0, duration_s=0.4, seed=11,
-    tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=64)
+    tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)))
 
 
 class InjectedFault(Exception):
@@ -281,3 +286,47 @@ def test_watchdog_raises_when_nothing_settles_for_the_stall_horizon():
                              r"simulated seconds"):
         drive_until_settled(env, tracker, 3, duration_s=1.0)
     assert env.now == pytest.approx(61.0)
+
+
+class Hung(Exception):
+    """Raised by :func:`deadline` when a run outlives its wall-clock cap."""
+
+
+@contextmanager
+def deadline(seconds):
+    """Turn a hang into a test failure after ``seconds`` of wall time."""
+    def expire(signum, frame):
+        raise Hung(f"still running after {seconds} s of wall time")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_batch_run_raises_when_every_worker_exits_early(monkeypatch):
+    # Workers that return without taking work leave kernels that can
+    # never complete, while Storengine's polling keeps events pending.
+    def idle_worker(self, worker_index, lwp):
+        return
+        yield
+
+    monkeypatch.setattr(FlashAbacusAccelerator, "_worker_loop",
+                        idle_worker)
+    with deadline(20), pytest.raises(RuntimeError,
+                                     match="no worker can take work"):
+        run_system("IntraO3", homogeneous_workload(
+            "ATAX", instances=2, input_scale=0.01))
+
+
+def test_batch_run_raises_when_every_worker_parks_forever(monkeypatch):
+    # A scheduler that never hands out work parks every worker on the
+    # wake event; nothing is left to wake them.
+    monkeypatch.setattr(policy_class("scheduler", "IntraO3"), "next_work",
+                        lambda self, worker_index: None)
+    with deadline(20), pytest.raises(RuntimeError,
+                                     match="no worker can take work"):
+        run_batch()

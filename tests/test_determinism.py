@@ -11,12 +11,14 @@ are byte-identical, parametrized over all four scheduler combinations
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.cluster import ClusterSession
 from repro.eval import run_system
 from repro.platform import ClusterConfig, FaultSpec, PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, ServingSession, TenantSpec
 from repro.workloads import homogeneous_workload
 
@@ -26,7 +28,7 @@ SCHEDULERS = ("InterSt", "InterDy", "IntraIo", "IntraO3")
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=80.0, duration_s=0.4, seed=11,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=16)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 16}))
 
 
 def canonical_bytes(report) -> bytes:
@@ -71,11 +73,10 @@ def test_learned_serving_run_is_deterministic():
     """Learned policies are pure functions of (scenario, config, seed):
     exploration draws and model state must reproduce byte-for-byte,
     snapshots included."""
-    from repro.policy import PolicySpec
 
-    scenario = SCENARIO.with_overrides(
-        admission_spec=PolicySpec("adaptive_admission"),
-        dispatch_spec=PolicySpec("epsilon_greedy_dispatch"))
+    scenario = replace(SCENARIO,
+                       admission=PolicySpec("adaptive_admission"),
+                       dispatch=PolicySpec("epsilon_greedy_dispatch"))
     config = device_config("IntraO3")
     first = ServingSession(scenario, config).run()
     second = ServingSession(scenario, config).run()
@@ -83,17 +84,16 @@ def test_learned_serving_run_is_deterministic():
     assert canonical_bytes(first) == canonical_bytes(second)
     # The seed steers the learned trace too (exploration is seeded, not
     # vacuously constant).
-    reseeded = ServingSession(scenario.with_overrides(seed=12),
+    reseeded = ServingSession(replace(scenario, seed=12),
                               config).run()
     assert canonical_bytes(reseeded) != canonical_bytes(first)
 
 
 def test_learned_cluster_run_is_deterministic():
-    from repro.policy import PolicySpec
 
     cluster = ClusterConfig.homogeneous(
         2, device_config("IntraO3"),
-        placement_spec=PolicySpec("linucb_placement"),
+        placement=PolicySpec("linucb_placement"),
         faults=(FaultSpec(0.2, 0, "degraded"),))
     first = ClusterSession(SCENARIO, cluster).run()
     second = ClusterSession(SCENARIO, cluster).run()
@@ -105,5 +105,5 @@ def test_seed_actually_steers_the_serving_trace():
     """Guard against vacuous determinism (e.g. an ignored seed)."""
     config = device_config("IntraO3")
     base = ServingSession(SCENARIO, config).run()
-    other = ServingSession(SCENARIO.with_overrides(seed=12), config).run()
+    other = ServingSession(replace(SCENARIO, seed=12), config).run()
     assert canonical_bytes(base) != canonical_bytes(other)

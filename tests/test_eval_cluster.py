@@ -1,5 +1,7 @@
 """Eval-layer tests: knee edge cases and orchestrated cluster sweeps."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.eval import (
@@ -18,6 +20,7 @@ from repro.eval import (
 )
 from repro.cluster import ClusterReport
 from repro.platform import ClusterConfig, PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, TenantSpec
 
 SCALE = 0.01
@@ -25,7 +28,7 @@ SCALE = 0.01
 SCENARIO = ServingScenario(
     process="poisson", duration_s=0.4, seed=13,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=16)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 16}))
 
 DEVICE = PlatformConfig(system="IntraO3", input_scale=SCALE)
 
@@ -89,7 +92,7 @@ def test_scaling_sweep_empty_counts_returns_empty():
 # --------------------------------------------------------------------------- #
 def test_cluster_spec_key_is_stable_and_cacheable(tmp_path):
     spec = ClusterExperimentSpec(
-        scenario=SCENARIO.with_overrides(offered_rps=60.0),
+        scenario=replace(SCENARIO, offered_rps=60.0),
         cluster=ClusterConfig.homogeneous(2, DEVICE))
     assert spec.key == spec.key
     assert spec.key.system == "cluster-2xIntraO3"

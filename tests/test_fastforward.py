@@ -14,11 +14,13 @@ The contract (PERFORMANCE.md, "Steady-state fast-forward"):
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.eval.serving import ServingExperimentSpec
 from repro.platform import PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import (
     FastForwardConfig,
     FastForwardServingSession,
@@ -36,7 +38,7 @@ PERCENTILE_TOL = 0.25
 SMALL = ServingScenario(
     process="poisson", offered_rps=80.0, duration_s=0.4, seed=11,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=16)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 16}))
 
 #: Steady scenario dense enough for the detector to engage: ~240
 #: completions per simulated second against the default 1 s warm-up and
@@ -84,7 +86,7 @@ def _assert_exact_except_annotation(ff_report, exact_report, reason_part):
 
 
 def test_refuses_bursty_mmpp_arrivals():
-    scenario = SMALL.with_overrides(process="mmpp")
+    scenario = replace(SMALL, process="mmpp")
     report = FastForwardServingSession(
         scenario, CONFIG, FastForwardConfig(enabled=True)).run()
     _assert_exact_except_annotation(
@@ -101,7 +103,7 @@ def test_refuses_when_warmup_covers_the_run():
 
 def test_refuses_sparse_warmup():
     # 80 rps yields far fewer than min_samples completions in 0.2 s.
-    scenario = SMALL.with_overrides(duration_s=0.4)
+    scenario = replace(SMALL, duration_s=0.4)
     report = FastForwardServingSession(
         scenario, CONFIG,
         FastForwardConfig(enabled=True, warmup_s=0.2)).run()

@@ -9,6 +9,8 @@ reports) and *mid-run* (stepping a front-end manually), including runs
 with mid-run device failures where requests migrate between devices.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import run_cluster
@@ -21,7 +23,7 @@ from repro.serve import (
     TenantSpec,
     run_serving,
 )
-from repro.policy import build_policy
+from repro.policy import PolicySpec, build_policy
 from repro.sim import Environment
 
 from helpers import StubBackend
@@ -29,7 +31,7 @@ from helpers import StubBackend
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=480.0, duration_s=0.5, seed=9,
     tenants=(TenantSpec("a", 2.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=8)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 8}))
 
 DEVICE = PlatformConfig(system="IntraO3", input_scale=0.01)
 
@@ -78,7 +80,7 @@ def test_cluster_conservation_survives_device_failure():
     """Failure rerouting must not leak or duplicate a single request."""
     cluster = ClusterConfig.homogeneous(
         3, DEVICE, faults=(FaultSpec(0.15, 1, "failed"),))
-    report = run_cluster(SCENARIO.with_overrides(offered_rps=1500.0),
+    report = run_cluster(replace(SCENARIO, offered_rps=1500.0),
                          cluster)
     assert report.reroutes > 0
     assert_report_conserved(report)
@@ -93,15 +95,14 @@ def test_cluster_conservation_survives_device_failure():
 def test_learned_feedback_accounting_is_conserved():
     """Feedback events == completed requests: one event per completion,
     no event for rejects, no double-count on reroutes."""
-    from repro.policy import PolicySpec
 
-    scenario = SCENARIO.with_overrides(
-        admission_spec=PolicySpec("adaptive_admission"),
-        dispatch_spec=PolicySpec("epsilon_greedy_dispatch"))
+    scenario = replace(SCENARIO,
+                       admission=PolicySpec("adaptive_admission"),
+                       dispatch=PolicySpec("epsilon_greedy_dispatch"))
     cluster = ClusterConfig.homogeneous(
-        3, DEVICE, placement_spec=PolicySpec("linucb_placement"),
+        3, DEVICE, placement=PolicySpec("linucb_placement"),
         faults=(FaultSpec(0.15, 1, "failed"),))
-    report = run_cluster(scenario.with_overrides(offered_rps=1500.0),
+    report = run_cluster(replace(scenario, offered_rps=1500.0),
                          cluster)
     assert_report_conserved(report)
     assert report.reroutes > 0      # the failure path actually fired

@@ -10,6 +10,7 @@ emit-only-when-set discipline.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -47,7 +48,7 @@ DEVICE = PlatformConfig(system="IntraO3", input_scale=0.01)
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=120.0, duration_s=0.4, seed=7,
     tenants=(TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=16)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 16}))
 
 
 def request(request_id=0, tenant="a", slo=0.25, arrival=0.0):
@@ -286,8 +287,7 @@ def test_wire_feedback_attaches_only_learned_policies():
 # Guards: fast-forward refusal, parallel refusal, serial cache routing         #
 # --------------------------------------------------------------------------- #
 def test_fastforward_refuses_learned_admission_byte_identically():
-    scenario = SCENARIO.with_overrides(
-        admission_spec=PolicySpec("adaptive_admission"))
+    scenario = replace(SCENARIO, admission=PolicySpec("adaptive_admission"))
     ff = FastForwardServingSession(
         scenario, DEVICE, FastForwardConfig(enabled=True)).run()
     meta = ff.fastforward
@@ -300,8 +300,8 @@ def test_fastforward_refuses_learned_admission_byte_identically():
 
 
 def test_fastforward_refuses_learned_dispatch():
-    scenario = SCENARIO.with_overrides(
-        dispatch_spec=PolicySpec("epsilon_greedy_dispatch"))
+    scenario = replace(SCENARIO,
+                       dispatch=PolicySpec("epsilon_greedy_dispatch"))
     ff = FastForwardServingSession(
         scenario, DEVICE, FastForwardConfig(enabled=True)).run()
     assert ff.fastforward["engaged"] is False
@@ -310,7 +310,7 @@ def test_fastforward_refuses_learned_dispatch():
 
 def test_parallel_cluster_session_refuses_learned_policies():
     cluster = ClusterConfig.homogeneous(
-        2, DEVICE, placement_spec=PolicySpec("linucb_placement"))
+        2, DEVICE, placement=PolicySpec("linucb_placement"))
     with pytest.raises(ValueError) as excinfo:
         ParallelClusterSession(SCENARIO, cluster)
     assert "learned" in str(excinfo.value)
@@ -321,7 +321,7 @@ def test_cluster_spec_routes_learned_cells_to_the_serial_session():
     from repro.cluster.parallel import ParallelConfig
 
     cluster = ClusterConfig.homogeneous(
-        2, DEVICE, placement_spec=PolicySpec("linucb_placement"))
+        2, DEVICE, placement=PolicySpec("linucb_placement"))
     spec = ClusterExperimentSpec(scenario=SCENARIO, cluster=cluster,
                                  parallel=ParallelConfig(workers=2))
     assert spec._uses_learned_policy()
@@ -345,9 +345,9 @@ def test_report_learned_field_is_emit_only_when_set():
 
 
 def test_serving_session_snapshots_learned_state():
-    scenario = SCENARIO.with_overrides(
-        admission_spec=PolicySpec("adaptive_admission"),
-        dispatch_spec=PolicySpec("epsilon_greedy_dispatch"))
+    scenario = replace(SCENARIO,
+                       admission=PolicySpec("adaptive_admission"),
+                       dispatch=PolicySpec("epsilon_greedy_dispatch"))
     report = ServingSession(scenario, DEVICE).run()
     assert set(report.learned) == {"admission", "dispatch"}
     for domain in ("admission", "dispatch"):
@@ -362,7 +362,7 @@ def test_serving_session_snapshots_learned_state():
 
 def test_cluster_session_feeds_the_fleet_placement_bandit():
     cluster = ClusterConfig.homogeneous(
-        2, DEVICE, placement_spec=PolicySpec("linucb_placement"))
+        2, DEVICE, placement=PolicySpec("linucb_placement"))
     report = ClusterSession(SCENARIO, cluster).run()
     snapshot = report.learned["placement"]
     assert snapshot["feedback_events"] == report.completed

@@ -11,14 +11,13 @@ the DeadlineAwareAdmission cold-start regression.
 
 import pickle
 import warnings
+from dataclasses import replace
 
 import pytest
 
 from repro.cluster import JoinShortestQueuePlacement
 from repro.core.schedulers import OutOfOrderIntraKernelScheduler
-from repro.eval.cluster import ClusterExperimentSpec
-from repro.eval.orchestrator import ExperimentSpec, WorkloadSpec
-from repro.eval.serving import ServingExperimentSpec
+from repro.eval.orchestrator import CACHE_REVISION
 from repro.platform import ClusterConfig, PlatformConfig
 from repro.policy import (
     POLICY_DOMAINS,
@@ -213,7 +212,8 @@ def test_platform_config_scheduler_policy_syncs_and_round_trips():
 
 
 def test_platform_config_with_system_clears_stale_scheduler_policy():
-    config = PlatformConfig(scheduler_policy=PolicySpec("InterDy"))
+    config = PlatformConfig(
+        scheduler_policy=PolicySpec("InterDy", {"num_workers": 4}))
     retargeted = config.with_system("SIMD")
     assert retargeted.system == "SIMD"
     assert retargeted.scheduler_policy is None
@@ -251,12 +251,11 @@ def test_platform_config_rejects_unregistered_scheduler_policy():
         PlatformConfig(system="NotAScheduler")
 
 
-def test_cluster_config_placement_spec_syncs_and_round_trips():
+def test_cluster_config_parameterized_placement_round_trips():
     device = PlatformConfig(input_scale=0.01)
     cluster = ClusterConfig.homogeneous(
-        2, device,
-        placement_spec=PolicySpec("tenant_affinity", {"salt": 3}))
-    assert cluster.placement == "tenant_affinity"
+        2, device, placement=PolicySpec("tenant_affinity", {"salt": 3}))
+    assert cluster.placement.name == "tenant_affinity"
     rebuilt = ClusterConfig.from_dict(cluster.to_dict())
     assert rebuilt == cluster
     assert rebuilt.config_hash() == cluster.config_hash()
@@ -266,8 +265,7 @@ def test_cluster_config_accepts_registry_only_placement():
     device = PlatformConfig(input_scale=0.01)
     cluster = ClusterConfig.homogeneous(2, device,
                                         placement="join_shortest_queue")
-    assert cluster.placement_policy_spec() == \
-        PolicySpec("join_shortest_queue")
+    assert cluster.placement == PolicySpec("join_shortest_queue")
     with pytest.raises(ValueError):
         ClusterConfig.homogeneous(2, device, placement="teleport")
 
@@ -275,11 +273,11 @@ def test_cluster_config_accepts_registry_only_placement():
 def test_cluster_config_placement_override_clears_stale_spec():
     device = PlatformConfig(input_scale=0.01)
     cluster = ClusterConfig.homogeneous(
-        2, device, placement_spec=PolicySpec("tenant_affinity",
-                                             {"salt": 3}))
-    overridden = cluster.with_overrides(placement="round_robin")
-    assert overridden.placement == "round_robin"
-    assert overridden.placement_spec is None
+        2, device, placement=PolicySpec("tenant_affinity", {"salt": 3}))
+    # One field: overriding the placement by name leaves no old params.
+    overridden = replace(cluster, placement="round_robin")
+    assert overridden.placement == PolicySpec("round_robin")
+    assert overridden == ClusterConfig.homogeneous(2, device)
 
 
 def test_scenario_validates_the_legacy_admission_string_eagerly():
@@ -296,92 +294,43 @@ def test_policy_spec_dict_without_name_raises_value_error():
 
 
 def test_scenario_validates_policy_specs_eagerly():
-    scenario = ServingScenario(admission_spec="token_bucket",
-                               dispatch_spec={"name": "strict_priority"})
-    assert scenario.admission_spec == PolicySpec("token_bucket")
-    assert scenario.dispatch_spec == PolicySpec("strict_priority")
+    scenario = ServingScenario(admission="token_bucket",
+                               dispatch={"name": "strict_priority"})
+    assert scenario.admission == PolicySpec("token_bucket")
+    assert scenario.dispatch == PolicySpec("strict_priority")
     assert ServingScenario.from_dict(scenario.to_dict()) == scenario
     with pytest.raises(ValueError):
-        ServingScenario(admission_spec="not-an-admission")
+        ServingScenario(admission="not-an-admission")
     with pytest.raises(ValueError):
-        ServingScenario(dispatch_spec="not-a-dispatch")
+        ServingScenario(dispatch="not-a-dispatch")
 
 
 def test_scenario_admission_field_mirrors_the_spec():
-    scenario = ServingScenario(admission_spec=PolicySpec("token_bucket"))
-    assert scenario.admission == "token_bucket"
-    assert scenario.to_dict()["admission"] == "token_bucket"
-    # Overriding the legacy string clears the stale spec instead of
-    # letting the __post_init__ sync override the request.
-    reverted = scenario.with_overrides(admission="none")
-    assert reverted.admission == "none"
-    assert reverted.admission_spec is None
+    scenario = ServingScenario(admission=PolicySpec("token_bucket"))
+    assert scenario.to_dict()["admission"] == {"name": "token_bucket",
+                                               "params": {}}
+    # One field: overriding the admission by name replaces the policy.
+    reverted = replace(scenario, admission="none")
+    assert reverted.admission == PolicySpec("none")
+    assert reverted.make_admission().name == "none"
 
 
-def test_scenario_effective_admission_spec_folds_legacy_knobs():
-    legacy = ServingScenario(admission="queue_depth", max_queue_depth=7)
-    assert legacy.effective_admission_spec() == PolicySpec(
-        "queue_depth", {"max_tenant_depth": 7})
-    explicit = ServingScenario(admission_spec=PolicySpec("none"))
-    assert explicit.effective_admission_spec() == PolicySpec("none")
-
-
-def test_scenario_max_queue_depth_override_folds_into_the_spec():
-    scenario = ServingScenario(
-        admission_spec=PolicySpec("queue_depth", {"max_tenant_depth": 24}))
-    tightened = scenario.with_overrides(max_queue_depth=8)
-    assert tightened.effective_admission_spec().params["max_tenant_depth"] \
-        == 8
-    # A spec naming a different policy ignores the legacy knob, as the
-    # legacy knob always did for non-queue_depth admissions.
-    other = ServingScenario(admission_spec=PolicySpec("none"))
-    assert other.with_overrides(max_queue_depth=8) \
-        .effective_admission_spec() == PolicySpec("none")
-
-
-def test_deadline_scenarios_are_rekeyed_for_the_cold_start_fix():
-    # The cold-start bugfix changed simulated behavior for deadline
-    # scenarios; their serialized form carries a behavior revision so a
-    # persisted cache cannot serve pre-fix results.  Everything else
-    # keeps its pre-policy-layer serialization (no marker).
-    deadline = ServingScenario(admission="deadline")
-    assert deadline.to_dict()["admission_behavior_rev"] == 2
-    assert ServingScenario.from_dict(deadline.to_dict()) == deadline
-    via_spec = ServingScenario(admission_spec=PolicySpec("deadline"))
-    assert via_spec.to_dict()["admission_behavior_rev"] == 2
-    assert "admission_behavior_rev" not in ServingScenario().to_dict()
-
-
-# --------------------------------------------------------------------------- #
-# Byte-identical legacy serialization (cache keys keep working)               #
-# --------------------------------------------------------------------------- #
-#: Content hashes recorded immediately before the policy layer landed.
-#: They pin the contract that configs not using PolicySpec serialize —
-#: and therefore hash and cache-key — exactly as they always did.
-PRE_POLICY_PLATFORM_HASH = "f9ae47cb6e42e77b"
-PRE_POLICY_CLUSTER_HASH = "88c626860642ed96"
-PRE_POLICY_EXEC_KEY_HASH = "42fd01ce248f09ed"
-PRE_POLICY_SERVING_KEY_HASH = "d698d68ce00a23aa"
-PRE_POLICY_CLUSTER_KEY_HASH = "163b6a8dd7ae3fcd"
-
-
-def test_legacy_configs_hash_byte_identical_to_pre_policy_layer():
-    config = PlatformConfig()
-    cluster = ClusterConfig.homogeneous(2, config)
+def test_scenario_default_admission_is_a_64_deep_queue_bound():
     scenario = ServingScenario()
-    assert "scheduler_policy" not in config.to_dict()
-    assert "placement_spec" not in cluster.to_dict()
-    assert "admission_spec" not in scenario.to_dict()
-    assert "dispatch_spec" not in scenario.to_dict()
-    assert config.config_hash() == PRE_POLICY_PLATFORM_HASH
-    assert cluster.config_hash() == PRE_POLICY_CLUSTER_HASH
-    workload = WorkloadSpec("homogeneous", "ATAX")
-    assert ExperimentSpec(workload, config).key.config_hash \
-        == PRE_POLICY_EXEC_KEY_HASH
-    assert ServingExperimentSpec(scenario, config).key.config_hash \
-        == PRE_POLICY_SERVING_KEY_HASH
-    assert ClusterExperimentSpec(scenario, cluster).key.config_hash \
-        == PRE_POLICY_CLUSTER_KEY_HASH
+    assert scenario.admission == PolicySpec("queue_depth")
+    assert scenario.make_admission().max_tenant_depth == 64
+    assert scenario.dispatch == PolicySpec("round_robin")
+
+
+def test_cache_revision_is_the_only_rekeying_mechanism():
+    # Every policy field serializes on every call, with no per-policy
+    # marker: re-keying is the revision's job alone.
+    assert CACHE_REVISION == 2
+    scenario = ServingScenario(admission="deadline")
+    assert set(scenario.to_dict()) == set(ServingScenario().to_dict())
+    assert PlatformConfig().to_dict()["scheduler_policy"] is None
+    assert ClusterConfig.homogeneous(2, PlatformConfig()).to_dict()[
+        "placement"] == {"name": "round_robin", "params": {}}
 
 
 # --------------------------------------------------------------------------- #
@@ -396,7 +345,7 @@ def test_internal_paths_do_not_emit_deprecation_warnings():
         scenario.make_admission()
         scenario.make_dispatch()
         build_policy("scheduler", config.scheduler_spec(), num_workers=2)
-        build_policy("placement", cluster.placement_policy_spec(),
+        build_policy("placement", cluster.placement,
                      device_count=2, salt=0)
 
 

@@ -17,7 +17,7 @@ from repro.serve import ServingScenario, TenantSpec
 SCENARIO = ServingScenario(
     process="poisson", offered_rps=80.0, duration_s=0.25, seed=9,
     tenants=(TenantSpec("a", 2.0, 0.25), TenantSpec("b", 1.0, 0.25)),
-    max_queue_depth=16)
+    admission=PolicySpec("queue_depth", {"max_tenant_depth": 16}))
 
 DEVICE = PlatformConfig(system="IntraO3", input_scale=0.01)
 
@@ -42,16 +42,12 @@ def test_policy_grid_specs_expand_the_cross_product():
         == ["InterDy"] * 8 + ["IntraO3"] * 8
     assert [combo.placement.name for combo, _ in grid[:2]] \
         == ["round_robin", "join_shortest_queue"]
-    # Policy selections land in the right config layers.  A bare
-    # "queue_depth" axis entry falls back to the legacy string knob so
-    # the base scenario's max_queue_depth keeps applying.
+    # Policy selections land in the right config layers, each set to
+    # the cell's axis spec.
     combo, spec = grid[1]
-    assert spec.cluster.placement == "join_shortest_queue"
-    assert spec.scenario.admission == "queue_depth"
-    assert spec.scenario.admission_spec is None
-    assert spec.scenario.effective_admission_spec() == PolicySpec(
-        "queue_depth", {"max_tenant_depth": SCENARIO.max_queue_depth})
-    assert spec.scenario.dispatch_spec == PolicySpec("round_robin")
+    assert spec.cluster.placement == PolicySpec("join_shortest_queue")
+    assert spec.scenario.admission == PolicySpec("queue_depth")
+    assert spec.scenario.dispatch == PolicySpec("round_robin")
     assert spec.cluster.devices[0].system == "InterDy"
 
 

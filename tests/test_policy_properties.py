@@ -6,7 +6,9 @@ it must round-trip ``to_dict -> json -> from_dict`` losslessly with a
 stable content hash (independent of param insertion order), and
 ``build_policy`` must reject unknown parameters with an actionable
 error.  The draws come from one fixed-seed RNG, so a failure is a
-reproducible counterexample, never flake.
+reproducible counterexample, never flake.  Every policy selection is
+also one config identity however it is spelled: a bare name, a
+``PolicySpec`` or a ``{"name", "params"}`` dict.
 """
 
 import inspect
@@ -15,6 +17,9 @@ import random
 
 import pytest
 
+from repro.eval.cluster import ClusterExperimentSpec
+from repro.eval.serving import ServingExperimentSpec
+from repro.platform import ClusterConfig, PlatformConfig
 from repro.policy import (
     POLICY_DOMAINS,
     PolicySpec,
@@ -25,6 +30,7 @@ from repro.policy import (
     policy_param_names,
     resolved_policy_spec,
 )
+from repro.serve import ServingScenario
 
 TRIALS_PER_POLICY = 5
 
@@ -161,3 +167,50 @@ def test_fuzzed_valid_parameterizations_instantiate_and_rekey():
                         (domain, name, key)
             # A different parameterization is a different cache identity.
             assert spec.config_hash() != PolicySpec(name).config_hash()
+
+
+def spelled_configs(domain, spelling):
+    """(scenario, device, cluster) selecting ``spelling`` in ``domain``."""
+    scenario_args, device_args, cluster_args = {}, {}, {}
+    if domain in ("admission", "dispatch"):
+        scenario_args[domain] = spelling
+    elif domain == "scheduler":
+        device_args["scheduler_policy"] = spelling
+    elif domain == "placement":
+        cluster_args["placement"] = spelling
+    else:
+        cluster_args["autoscaler_spec"] = spelling
+    device = PlatformConfig(**device_args)
+    return (ServingScenario(**scenario_args), device,
+            ClusterConfig.homogeneous(2, device, **cluster_args))
+
+
+def identity(scenario, device, cluster):
+    """Everything a config contributes to equality and the cache."""
+    return (scenario, scenario.to_dict(), device, device.to_dict(),
+            device.config_hash(), cluster, cluster.to_dict(),
+            cluster.config_hash(),
+            ServingExperimentSpec(scenario, device).key,
+            ClusterExperimentSpec(scenario, cluster).key)
+
+
+def test_every_spelling_of_a_policy_is_one_config_identity():
+    for domain, name in every_policy():
+        spellings = [name, PolicySpec(name), {"name": name, "params": {}}]
+        expected = identity(*spelled_configs(domain, spellings[0]))
+        for spelling in spellings[1:]:
+            assert identity(*spelled_configs(domain, spelling)) \
+                == expected, (domain, name, spelling)
+        if domain == "scheduler":
+            # The scheduler's oldest spelling is the system name.
+            device = PlatformConfig(system=name)
+            assert identity(*spelled_configs(domain, name))[2:5] == (
+                device, device.to_dict(), device.config_hash()), name
+        # Lossless round trip through JSON text.
+        scenario, device, cluster = spelled_configs(domain, name)
+        for config in (scenario, device, cluster):
+            data = json.loads(json.dumps(config.to_dict()))
+            assert type(config).from_dict(data) == config, (domain, name)
+    # An alias is the policy it stands for.
+    assert ServingScenario(admission="always") \
+        == ServingScenario(admission="none")

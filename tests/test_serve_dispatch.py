@@ -1,9 +1,11 @@
 """Dispatch-policy domain: queue-order selection and end-to-end wiring."""
 
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
+from repro.policy import PolicySpec
 from repro.serve import (
     RoundRobinDispatch,
     ServingScenario,
@@ -126,7 +128,7 @@ def test_scenario_make_dispatch_defaults_to_round_robin():
 def test_scenario_injects_tenant_weights_into_weighted_fair():
     scenario = ServingScenario(
         tenants=(TenantSpec("a", 3.0, 1.0), TenantSpec("b", 1.0, 1.0)),
-        dispatch_spec="weighted_fair")
+        dispatch="weighted_fair")
     policy = scenario.make_dispatch()
     policy.bind(["a", "b"])
     assert policy._weights == {"a": 3.0, "b": 1.0}
@@ -135,8 +137,8 @@ def test_scenario_injects_tenant_weights_into_weighted_fair():
 def test_scenario_explicit_dispatch_params_win_over_tenant_weights():
     scenario = ServingScenario(
         tenants=(TenantSpec("a", 3.0, 1.0), TenantSpec("b", 1.0, 1.0)),
-        dispatch_spec={"name": "weighted_fair",
-                       "params": {"weights": {"a": 1.0, "b": 5.0}}})
+        dispatch={"name": "weighted_fair",
+                  "params": {"weights": {"a": 1.0, "b": 5.0}}})
     policy = scenario.make_dispatch()
     policy.bind(["a", "b"])
     assert policy._weights == {"a": 1.0, "b": 5.0}
@@ -153,14 +155,13 @@ def test_strict_priority_favors_the_top_tenant_end_to_end():
         process="poisson", offered_rps=240.0, duration_s=0.4, seed=11,
         tenants=(TenantSpec("gold", 1.0, 0.25),
                  TenantSpec("bronze", 1.0, 0.25)),
-        max_queue_depth=32)
+        admission=PolicySpec("queue_depth", {"max_tenant_depth": 32}))
     config = PlatformConfig(system="IntraO3", input_scale=0.01)
 
     fair = ServingSession(base, config).run()
     prio = ServingSession(
-        base.with_overrides(
-            dispatch_spec={"name": "strict_priority",
-                           "params": {"priority": {"gold": 0}}}),
+        replace(base, dispatch={"name": "strict_priority",
+                                "params": {"priority": {"gold": 0}}}),
         config).run()
 
     def mean_latency(report, tenant):
@@ -182,7 +183,7 @@ def test_dispatch_policies_are_deterministic_end_to_end():
     for dispatch in ("round_robin", "weighted_fair", "strict_priority"):
         scenario = ServingScenario(
             process="poisson", offered_rps=120.0, duration_s=0.3, seed=5,
-            dispatch_spec=dispatch)
+            dispatch=dispatch)
         first = ServingSession(scenario, config).run().to_dict()
         second = ServingSession(scenario, config).run().to_dict()
         assert first == second, dispatch

@@ -1,5 +1,7 @@
 """End-to-end serving sessions, reports, and orchestrator integration."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.eval import (
@@ -10,6 +12,7 @@ from repro.eval import (
     saturation_sweep,
 )
 from repro.platform import PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import (
     ServingReport,
     ServingScenario,
@@ -24,7 +27,9 @@ TENANTS = (TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25))
 
 def scenario(**overrides):
     kwargs = {"process": "poisson", "offered_rps": 60.0, "duration_s": 0.8,
-              "seed": 3, "tenants": TENANTS, "max_queue_depth": 24}
+              "seed": 3, "tenants": TENANTS,
+              "admission": PolicySpec("queue_depth",
+                                      {"max_tenant_depth": 24})}
     kwargs.update(overrides)
     return ServingScenario(**kwargs)
 
@@ -119,7 +124,7 @@ def test_sessions_are_deterministic():
     second = ServingSession(scen, config("IntraO3")).run()
     assert first.to_dict() == second.to_dict()
     # A different arrival seed produces a different run.
-    third = ServingSession(scen.with_overrides(seed=4),
+    third = ServingSession(replace(scen, seed=4),
                            config("IntraO3")).run()
     assert third.to_dict() != first.to_dict()
 
@@ -136,7 +141,8 @@ def test_trace_scenario_session():
 def test_admission_caps_overload_latency():
     # Far beyond the baseline's capacity: with a depth bound the queue
     # (and hence the tail) stays finite and requests are rejected instead.
-    scen = scenario(offered_rps=240.0, max_queue_depth=4)
+    scen = scenario(offered_rps=240.0, admission=PolicySpec(
+        "queue_depth", {"max_tenant_depth": 4}))
     report = ServingSession(scen, config("SIMD")).run()
     assert report.rejected > 0
     check_report_invariants(report, scen)

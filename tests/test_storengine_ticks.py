@@ -29,6 +29,7 @@ from repro.hw.lwp import LWPCluster
 from repro.hw.memory import DDR3L, Scratchpad
 from repro.hw.power import EnergyAccountant
 from repro.platform import ClusterConfig, FaultSpec, PlatformConfig
+from repro.policy import PolicySpec
 from repro.serve import ServingScenario, TenantSpec, run_serving
 from repro.serve.fastforward import run_serving_fastforward
 from repro.sim import Environment
@@ -94,7 +95,8 @@ TENANTS = (TenantSpec("a", 1.0, 0.25), TenantSpec("b", 1.0, 0.25))
 def scenario(seed, rate, duration_s=0.5):
     return ServingScenario(process="poisson", offered_rps=rate,
                            duration_s=duration_s, seed=seed,
-                           tenants=TENANTS, max_queue_depth=16)
+                           tenants=TENANTS, admission=PolicySpec(
+                               "queue_depth", {"max_tenant_depth": 16}))
 
 
 def test_patch_reaches_the_accelerator():
